@@ -245,11 +245,30 @@ let mutable_escape_pass cg =
     roots;
   List.rev !acc
 
+(* ---------------- 6. top-level-lazy ---------------- *)
+
+(* A module-level [lazy] is global state every domain may force, and
+   OCaml 5 raises [CamlinternalLazy.Undefined] in a domain that forces
+   it while another is mid-force. Build such values eagerly at module
+   init (or guard them explicitly). *)
+let toplevel_lazy_pass (units : F.unit_facts list) =
+  List.concat_map
+    (fun (uf : F.unit_facts) ->
+      List.map
+        (fun (name, line) ->
+          v ~file:uf.F.uf_source ~line ~rule:"top-level-lazy"
+            (Printf.sprintf
+               "%s is a top-level lazy: forcing it from two domains at once raises \
+                CamlinternalLazy.Undefined"
+               name))
+        uf.F.uf_lazies)
+    units
+
 (* ---------------- driver ---------------- *)
 
 let all_rules =
   [ "lock-order"; "blocking-in-worker"; "blocking-under-lock";
-    "crew-core-purity"; "shared-mutable-escape" ]
+    "crew-core-purity"; "shared-mutable-escape"; "top-level-lazy" ]
 
 let run ?(is_crew_core = default_is_crew_core) (units : F.unit_facts list) =
   let cg = Callgraph.build units in
@@ -260,6 +279,7 @@ let run ?(is_crew_core = default_is_crew_core) (units : F.unit_facts list) =
     @ blocking_under_lock_pass cg
     @ crew_purity_pass ~is_crew_core cg
     @ mutable_escape_pass cg
+    @ toplevel_lazy_pass units
   in
   (* Deduplicate on the stable key, keeping the smallest line; order by
      (file, line, rule, message) for stable output. *)

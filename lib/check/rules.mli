@@ -1,4 +1,4 @@
-(** The four concurrency-discipline passes over {!Tast_facts} fact
+(** The concurrency-discipline passes over {!Tast_facts} fact
     bases, emitting {!Lint.violation}s:
 
     - [lock-order]: cycle in the lock-acquisition-order graph
@@ -15,6 +15,9 @@
     - [shared-mutable-escape]: a mutable field or captured ref written
       without a lock in code reachable (same unit, never under a lock)
       from a spawn entry point.
+    - [top-level-lazy]: a module-level [lazy] value. Forcing one from
+      two domains at once raises [CamlinternalLazy.Undefined] in OCaml
+      5; build it eagerly instead.
 
     Violation [message]s are line-free and deterministic, so
     [(rule, file, message)] is a stable baseline key. *)

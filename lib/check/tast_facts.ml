@@ -65,6 +65,8 @@ type unit_facts = {
   uf_aliases : (string * string) list;
       (** local [module M = Other.Path] renamings, alias -> target;
           needed to resolve [M.f] call targets across units *)
+  uf_lazies : (string * int) list;
+      (** module-level [lazy] bindings, (qualified name, line) *)
 }
 
 (* [C4_runtime__Server] -> [C4_runtime.Server]; a trailing [__] alias
@@ -120,6 +122,7 @@ type state = {
   mutable locks : string list;  (* innermost first *)
   mutable funcs : func list;
   mutable aliases : (string * string) list;
+  mutable lazies : (string * int) list;
   mutable anon : int;  (* synthetic closure counter *)
 }
 
@@ -248,6 +251,9 @@ let iterate st (str : Typedtree.structure) =
              [Tstr_value] (inside a local module in a function) keeps
              attributing to the enclosing function. *)
           if st.frames = [] then begin
+            (match vb.Typedtree.vb_expr.Typedtree.exp_desc with
+            | Typedtree.Texp_lazy _ -> st.lazies <- (qualified st name, line) :: st.lazies
+            | _ -> ());
             let _f = push_frame st ~name:(qualified st name) ~line ~spawn_body:false in
             it.Tast_iterator.expr it vb.Typedtree.vb_expr;
             pop_frame st
@@ -375,6 +381,7 @@ let of_structure ~unit_name ~source str =
       locks = [];
       funcs = [];
       aliases = [];
+      lazies = [];
       anon = 0;
     }
   in
@@ -384,6 +391,7 @@ let of_structure ~unit_name ~source str =
     uf_source = source;
     uf_funcs = List.rev st.funcs;
     uf_aliases = List.rev st.aliases;
+    uf_lazies = List.rev st.lazies;
   }
 
 let load path =

@@ -53,6 +53,9 @@ type unit_facts = {
   uf_funcs : func list;
   uf_aliases : (string * string) list;
       (** local [module M = Other.Path] renamings, alias -> target *)
+  uf_lazies : (string * int) list;
+      (** module-level [lazy] bindings (submodules included), as
+          (qualified name, line) *)
 }
 
 (** [C4_runtime__Server] -> [C4_runtime.Server]. *)

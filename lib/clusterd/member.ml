@@ -56,7 +56,6 @@ type t = {
   runtime : Runtime.t;
   repl_log : Wal.t;
   lock : Mutex.t;
-  cond : Condition.t;  (* progress signal for blocking read fences *)
   mutable map : Shardmap.t;
   mutable map_bytes : bytes;  (* encoded [map]; re-encoded once per install *)
   senders : (int, sender) Hashtbl.t;
@@ -65,6 +64,9 @@ type t = {
   mutable listener_thread : Thread.t option;
   mutable inbound_threads : Thread.t list;
   mutable closing : bool;
+  mutable reconcile_due : bool;  (* senders lag [map]; with [recon_cond] *)
+  recon_cond : Condition.t;
+  mutable reconciler : Thread.t option;
   outstanding : outstanding Queue.t array;  (* per runtime partition, rseq order *)
   repl_wm : (int, int array) Hashtbl.t;  (* replica node -> per-shard acked sseq *)
   mutable waiters : (int * int * (unit -> unit)) list;  (* partition, rseq, cb *)
@@ -104,9 +106,9 @@ let drained_locked t ~partition ~rseq =
   | None -> true
   | Some head -> head.o_rseq > rseq
 
-(* Pop every quorum-satisfied queue head, collect newly-satisfied async
-   waiters, and wake blocking fences. Returns callbacks to run with the
-   lock released. *)
+(* Pop every quorum-satisfied queue head and collect newly-satisfied
+   waiters (durability callbacks and read fences). Returns callbacks to
+   run with the lock released. *)
 let advance_locked t =
   let progressed = ref false in
   Array.iter
@@ -128,7 +130,6 @@ let advance_locked t =
         t.waiters
     in
     t.waiters <- keep;
-    Condition.broadcast t.cond;
     List.rev_map (fun (_, _, cb) -> cb) fire
   end
   else []
@@ -201,23 +202,27 @@ let gate t ~partition ~seqno cb =
   in
   if run_now then cb ()
 
-(* GET fence (quorum mode): block until the key's partition has no
+(* GET fence (quorum mode): call [k] once the key's partition has no
    locally-applied-but-unacked suffix, so a read can never observe a
-   value that a failover then forgets. Runs on the serving layer's
-   completion side — the connection writer thread under the threads
-   engine, a completion-executor thread under the event engine — never
-   on an event-loop domain, which must not block. *)
-let read_fence t ~key =
-  if t.cfg.ack = Quorum then begin
+   value that a failover then forgets. Never blocks — it runs on the
+   serving layer's event loops: a fence that cannot pass yet registers
+   as a waiter, fired by the replication ack readers (or [close]). *)
+let read_fence t ~key k =
+  let run_now =
+    t.cfg.ack <> Quorum
+    ||
     let partition = Runtime.partition_of_key t.runtime key in
     Sync.with_lock t.lock (fun () ->
         match Queue.fold (fun acc e -> max acc e.o_rseq) 0 t.outstanding.(partition) with
-        | 0 -> ()
+        | 0 -> true
         | target ->
-          while not (t.closing || drained_locked t ~partition ~rseq:target) do
-            Condition.wait t.cond t.lock
-          done)
-  end
+          if t.closing || drained_locked t ~partition ~rseq:target then true
+          else begin
+            t.waiters <- (partition, target, k) :: t.waiters;
+            false
+          end)
+  in
+  if run_now then k ()
 
 (* ---------------- sender (this node as leader) ---------------- *)
 
@@ -466,40 +471,63 @@ let listener_loop t lsock () =
 
 let current_map t = Sync.with_lock t.lock (fun () -> t.map)
 
-(* Install [m] if strictly newer. Fences stale replication senders
+(* Install [m] if strictly newer and fence stale replication senders
    (connections whose hello carried an older epoch are cut — a deposed
-   leader cannot keep feeding us) and reconciles outbound senders with
-   the new replica sets. *)
+   leader cannot keep feeding us). This runs on an event loop (a
+   CLUSTER_INFO offer), so it never blocks: reconciling the outbound
+   senders with the new replica sets joins and spawns threads, and is
+   left to the reconciler thread. *)
 let install t m =
-  let to_stop, stale =
+  let stale =
     Sync.with_lock t.lock (fun () ->
-        if Shardmap.epoch m <= Shardmap.epoch t.map then ([], [])
+        if Shardmap.epoch m <= Shardmap.epoch t.map then []
         else begin
           t.map <- m;
           t.map_bytes <- Shardmap.encode m;
           Registry.set t.epoch_g (float_of_int (Shardmap.epoch m));
-          let stale =
-            List.filter (fun i -> i.in_open && i.in_epoch < Shardmap.epoch m) t.inbound
-          in
-          let desired = desired_replicas_locked t in
-          let to_stop = ref [] in
-          Hashtbl.iter
-            (fun node sn -> if not (List.mem node desired) then to_stop := sn :: !to_stop)
-            t.senders;
-          List.iter (fun sn -> Hashtbl.remove t.senders sn.sn_node) !to_stop;
-          (* Start missing senders while still holding the lock, so a
-             racing install cannot double-start one; the spawned thread
-             blocks on [t.lock] until we release, which is fine. *)
-          List.iter
-            (fun n ->
-              if not (Hashtbl.mem t.senders n) then
-                Hashtbl.replace t.senders n (start_sender t n))
-            desired;
-          (!to_stop, stale)
+          t.reconcile_due <- true;
+          Condition.signal t.recon_cond;
+          List.filter (fun i -> i.in_open && i.in_epoch < Shardmap.epoch m) t.inbound
         end)
   in
-  List.iter (fun i -> shutdown_fd i.in_fd) stale;
-  List.iter stop_sender to_stop
+  List.iter (fun i -> shutdown_fd i.in_fd) stale
+
+(* Bring the outbound senders in line with the current map whenever an
+   install marks them stale, until [close]. *)
+let reconciler_loop t () =
+  let rec loop () =
+    let to_stop =
+      Sync.with_lock t.lock (fun () ->
+          while (not t.reconcile_due) && not t.closing do
+            Condition.wait t.recon_cond t.lock
+          done;
+          if t.closing then None
+          else begin
+            t.reconcile_due <- false;
+            let desired = desired_replicas_locked t in
+            let to_stop = ref [] in
+            Hashtbl.iter
+              (fun node sn -> if not (List.mem node desired) then to_stop := sn :: !to_stop)
+              t.senders;
+            List.iter (fun sn -> Hashtbl.remove t.senders sn.sn_node) !to_stop;
+            (* Start missing senders while still holding the lock, so
+               [close] cannot miss one; the spawned thread blocks on
+               [t.lock] until we release, which is fine. *)
+            List.iter
+              (fun n ->
+                if not (Hashtbl.mem t.senders n) then
+                  Hashtbl.replace t.senders n (start_sender t n))
+              desired;
+            Some !to_stop
+          end)
+    in
+    match to_stop with
+    | None -> ()
+    | Some to_stop ->
+      List.iter stop_sender to_stop;
+      loop ()
+  in
+  loop ()
 
 (* ---------------- Net.Server hooks ---------------- *)
 
@@ -519,7 +547,7 @@ let info t payload =
 let hooks t =
   {
     C4_net.Server.cl_check = (fun ~key ~write -> check t ~key ~write);
-    cl_read_fence = (fun ~key -> read_fence t ~key);
+    cl_read_fence = (fun ~key k -> read_fence t ~key k);
     cl_info = (fun payload -> info t payload);
   }
 
@@ -584,7 +612,6 @@ let create ?registry ~runtime cfg =
       runtime;
       repl_log;
       lock = Mutex.create ();
-      cond = Condition.create ();
       map = cfg.initial_map;
       map_bytes = Shardmap.encode cfg.initial_map;
       senders = Hashtbl.create 8;
@@ -593,6 +620,9 @@ let create ?registry ~runtime cfg =
       listener_thread = None;
       inbound_threads = [];
       closing = false;
+      reconcile_due = false;
+      recon_cond = Condition.create ();
+      reconciler = None;
       outstanding = Array.init (Runtime.n_partitions runtime) (fun _ -> Queue.create ());
       repl_wm = Hashtbl.create 8;
       waiters = [];
@@ -622,6 +652,7 @@ let create ?registry ~runtime cfg =
   List.iter
     (fun node -> Hashtbl.replace t.senders node (start_sender t node))
     (Sync.with_lock t.lock (fun () -> desired_replicas_locked t));
+  t.reconciler <- Some (Thread.create (reconciler_loop t) ());
   (* Tap the runtime WAL last: everything is in place to stream. *)
   Wal.set_append_hook runtime_wal (Some (fun ~partition record -> on_append t ~partition record));
   if cfg.ack = Quorum then
@@ -635,7 +666,7 @@ let close t =
         if t.closing then None
         else begin
           t.closing <- true;
-          Condition.broadcast t.cond;
+          Condition.broadcast t.recon_cond;
           let w = t.waiters in
           t.waiters <- [];
           Some w
@@ -665,6 +696,9 @@ let close t =
       Thread.join th;
       t.listener_thread <- None
     | None -> ());
+    (* No sender starts once the reconciler is gone. *)
+    Option.iter Thread.join t.reconciler;
+    t.reconciler <- None;
     let inbound, senders =
       Sync.with_lock t.lock (fun () ->
           let i = t.inbound in

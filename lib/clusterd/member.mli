@@ -31,12 +31,12 @@
     token dedup), own repl-log append second (in-order apply makes the
     assigned seqno equal the received sseq), ack third.
 
-    Reads: {!hooks}'s [cl_read_fence] blocks a GET response (quorum
+    Reads: {!hooks}'s [cl_read_fence] holds a GET response (quorum
     mode) until the key's partition has no applied-but-unacked suffix,
     so no client can observe a value that a subsequent failover
-    forgets. The serving layer calls it from a thread that may block
-    (connection writer or completion executor, per
-    {!C4_net.Server.cluster}), never from an event-loop domain.
+    forgets. It never blocks: a fence that cannot pass yet is
+    registered and called back when the partition drains (or the
+    member closes), so the event loop that served the read moves on.
 
     Metrics (in [registry]): [cluster.epoch] (gauge),
     [cluster.repl_records_out], [cluster.repl_records_in],
@@ -69,9 +69,11 @@ val default_config :
 
 type t
 
-(** Open (or recover) the repl-log, start the replication listener and
-    the outbound streams to every replica of a led shard, and install
-    the WAL hooks. Call {e before} the node starts accepting client
+(** Open (or recover) the repl-log, start the replication listener,
+    the outbound streams to every replica of a led shard and the thread
+    that reconciles them with later maps (a map offered over
+    CLUSTER_INFO is installed on the serving event loop, which must not
+    join or spawn threads), and install the WAL hooks. Call {e before} the node starts accepting client
     traffic. Raises [Invalid_argument] on an invalid map, an
     out-of-range node id, or a runtime without a WAL. *)
 val create : ?registry:C4_obs.Registry.t -> runtime:C4_runtime.Server.t -> config -> t

@@ -2,6 +2,7 @@ module Ewt = C4_nic.Ewt
 module Jbsq = C4_nic.Jbsq
 module Compaction_log = C4_kvs.Compaction_log
 module Registry = C4_obs.Registry
+module Tally = C4_obs.Tally
 
 module type ENGINE = sig
   val now : unit -> float
@@ -19,7 +20,8 @@ type t = {
   jbsq : Jbsq.t;
   logs : Compaction_log.t array; (* empty when compaction is off *)
   mutable shed : int;
-  mutable win_arrivals : int;
+  arrivals : Tally.t;  (* bumped by every submitting domain, lock-free *)
+  mutable win_base : int;  (* [arrivals] at the last shed check *)
   mutable win_drops : int;
   on_decision : (Decision.t -> unit) option;
   pin_c : Registry.counter;
@@ -62,7 +64,8 @@ let create ?registry ?on_decision ~cfg ~n_workers ~n_partitions () =
     jbsq = Jbsq.create ~n_workers ~bound:cfg.Config.jbsq_bound;
     logs;
     shed = 0;
-    win_arrivals = 0;
+    arrivals = Tally.create ();
+    win_base = 0;
     win_drops = 0;
     on_decision;
     pin_c = Registry.counter reg "crew.pin";
@@ -311,16 +314,17 @@ let compaction_stats t =
 (* ---------------- adaptive load shedding ---------------- *)
 
 let shed_level t = t.shed
-let note_arrival t = t.win_arrivals <- t.win_arrivals + 1
+let note_arrival t = Tally.incr t.arrivals
 let note_drop t = t.win_drops <- t.win_drops + 1
 
 let shed_check t ~now:_ =
   match t.cfg.Config.shed with
   | None -> t.shed
   | Some sc ->
+    let total = Tally.get t.arrivals in
+    let arrivals = total - t.win_base in
     let rate =
-      if t.win_arrivals = 0 then 0.0
-      else float_of_int t.win_drops /. float_of_int t.win_arrivals
+      if arrivals = 0 then 0.0 else float_of_int t.win_drops /. float_of_int arrivals
     in
     let level =
       if rate > sc.Config.shed_threshold then min 2 (t.shed + 1)
@@ -331,7 +335,7 @@ let shed_check t ~now:_ =
       t.shed <- level;
       emit t t.shed_c (Decision.Shed_level { level })
     end;
-    t.win_arrivals <- 0;
+    t.win_base <- total;
     t.win_drops <- 0;
     t.shed
 

@@ -222,6 +222,10 @@ val compaction_stats : t -> C4_kvs.Compaction_log.stats option
     owns the thresholds and the level. *)
 
 val shed_level : t -> int
+
+(** Count one arrival. Lock-free and exact from any number of domains
+    (a {!C4_obs.Tally}), so a read path can call it without the
+    engine's routing lock. *)
 val note_arrival : t -> unit
 
 (** Count one non-shed drop in the current window. *)

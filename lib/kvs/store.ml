@@ -1,3 +1,5 @@
+module Tally = C4_obs.Tally
+
 type entry = { key : int; mutable value : bytes }
 
 type t = {
@@ -17,12 +19,14 @@ type t = {
   token_order : int Queue.t array;
   token_capacity : int;
   n_partitions : int;
-  mutable count : int;
-  mutable reads_n : int;
-  mutable writes_n : int;
-  mutable retries_n : int;
-  mutable dup_writes_n : int;
-  mutable tokens_evicted_n : int;
+  (* Tallies, not plain ints: readers on every domain bump the read
+     counts, and each partition's writer bumps the shared write counts. *)
+  count : Tally.t;
+  reads_n : Tally.t;
+  writes_n : Tally.t;
+  retries_n : Tally.t;
+  dup_writes_n : Tally.t;
+  tokens_evicted_n : Tally.t;
   evicted_c : C4_obs.Registry.counter option;
 }
 
@@ -39,12 +43,12 @@ let create ?(n_buckets = 65536) ?(n_partitions = 1024)
     token_order = Array.init n_partitions (fun _ -> Queue.create ());
     token_capacity;
     n_partitions;
-    count = 0;
-    reads_n = 0;
-    writes_n = 0;
-    retries_n = 0;
-    dup_writes_n = 0;
-    tokens_evicted_n = 0;
+    count = Tally.create ();
+    reads_n = Tally.create ();
+    writes_n = Tally.create ();
+    retries_n = Tally.create ();
+    dup_writes_n = Tally.create ();
+    tokens_evicted_n = Tally.create ();
     evicted_c =
       Option.map (fun reg -> C4_obs.Registry.counter reg "store.tokens_evicted") registry;
   }
@@ -72,8 +76,8 @@ let set_locked t ~key ~value =
   | Some entry -> update_entry entry value
   | None ->
     bucket := { key; value = Bytes.copy value } :: !bucket;
-    t.count <- t.count + 1);
-  t.writes_n <- t.writes_n + 1
+    Tally.incr t.count);
+  Tally.incr t.writes_n
 
 let set t ~key ~value =
   let lock = t.locks.(partition_of_key t key) in
@@ -90,7 +94,7 @@ let set_idempotent t ~key ~value ~token =
   let tokens = t.applied_tokens.(partition) in
   let lock = t.locks.(partition) in
   if Hashtbl.mem tokens token then begin
-    t.dup_writes_n <- t.dup_writes_n + 1;
+    Tally.incr t.dup_writes_n;
     `Duplicate
   end
   else begin
@@ -101,7 +105,7 @@ let set_idempotent t ~key ~value ~token =
     let order = t.token_order.(partition) in
     if Queue.length order >= t.token_capacity then begin
       Hashtbl.remove tokens (Queue.pop order);
-      t.tokens_evicted_n <- t.tokens_evicted_n + 1;
+      Tally.incr t.tokens_evicted_n;
       Option.iter C4_obs.Registry.incr t.evicted_c
     end;
     Hashtbl.replace tokens token ();
@@ -131,8 +135,8 @@ let get t ~key =
         | Some entry -> Some (Bytes.copy entry.value)
         | None -> None)
   in
-  t.reads_n <- t.reads_n + 1;
-  t.retries_n <- t.retries_n + retries;
+  Tally.incr t.reads_n;
+  if retries > 0 then Tally.add t.retries_n retries;
   (result, retries)
 
 let mem t ~key =
@@ -146,12 +150,12 @@ let remove t ~key =
   let present = find_entry !bucket key <> None in
   if present then begin
     bucket := List.filter (fun e -> e.key <> key) !bucket;
-    t.count <- t.count - 1
+    Tally.add t.count (-1)
   end;
   Seqlock.write_end lock;
   present
 
-let size t = t.count
+let size t = Tally.get t.count
 let partition_version t ~partition = Seqlock.version t.locks.(partition)
 
 type stats = {
@@ -164,15 +168,12 @@ type stats = {
 
 let stats t =
   {
-    reads = t.reads_n;
-    writes = t.writes_n;
-    read_retries = t.retries_n;
-    duplicate_writes = t.dup_writes_n;
-    tokens_evicted = t.tokens_evicted_n;
+    reads = Tally.get t.reads_n;
+    writes = Tally.get t.writes_n;
+    read_retries = Tally.get t.retries_n;
+    duplicate_writes = Tally.get t.dup_writes_n;
+    tokens_evicted = Tally.get t.tokens_evicted_n;
   }
 
 let reset_stats t =
-  t.reads_n <- 0;
-  t.writes_n <- 0;
-  t.retries_n <- 0;
-  t.dup_writes_n <- 0
+  List.iter Tally.reset [ t.reads_n; t.writes_n; t.retries_n; t.dup_writes_n ]

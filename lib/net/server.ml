@@ -1,5 +1,4 @@
 module Runtime = C4_runtime.Server
-module Promise = C4_runtime.Promise
 module Sync = C4_runtime.Sync
 module Registry = C4_obs.Registry
 module Span = C4_obs.Span
@@ -10,22 +9,9 @@ module Span = C4_obs.Span
    and injects its member state here. *)
 type cluster = {
   cl_check : key:int -> write:bool -> (unit, bytes) result;
-  cl_read_fence : key:int -> unit;
+  cl_read_fence : key:int -> (unit -> unit) -> unit;
   cl_info : bytes -> (bytes, string) result;
 }
-
-(* Which serving engine fronts the runtime: the event-loop pool (a few
-   loop domains multiplexing every connection with poll(2)) or the
-   legacy two-threads-per-connection model, kept for comparison
-   benchmarks and as a fallback. *)
-type engine = Evloop | Threads
-
-let engine_to_string = function Evloop -> "evloop" | Threads -> "threads"
-
-let engine_of_string = function
-  | "evloop" -> Ok Evloop
-  | "threads" -> Ok Threads
-  | s -> Error (Printf.sprintf "unknown net engine %S (evloop|threads)" s)
 
 type config = {
   host : string;
@@ -34,8 +20,6 @@ type config = {
   max_frame : int;
   spans : Span.t option;
   cluster : cluster option;
-  engine : engine;
-  loops : int;
   max_pending : int;
 }
 
@@ -47,8 +31,6 @@ let default_config =
     max_frame = 1 lsl 20;
     spans = None;
     cluster = None;
-    engine = Evloop;
-    loops = 2;
     max_pending = 1024;
   }
 
@@ -72,17 +54,13 @@ type metrics = {
 type t = {
   cfg : config;
   runtime : Runtime.t;
-  wire : Wire.t;
   listen_fd : Unix.file_descr;
   bound_port : int;
   reg : Registry.t;
   m : metrics;
-  conns : (int, Conn.t) Hashtbl.t;  (* threads engine: conn id -> conn *)
-  conns_lock : Mutex.t;
-  mutable next_conn : int;
-  mutable active : int;
+  ev : Evloop.t;
+  active : int Atomic.t;
   mutable acceptor : Thread.t option;
-  mutable ev : Evloop.t option;  (* event engine: owns the conns itself *)
   inflight : int Atomic.t;
   stopping : bool Atomic.t;
   stop_lock : Mutex.t;
@@ -123,14 +101,6 @@ let note_routed t key =
   let owner = Runtime.owner_of_key t.runtime key in
   Registry.incr t.m.routed_c.(owner)
 
-let err_response id msg =
-  {
-    Wire.resp_id = id;
-    status = Wire.Err;
-    timing_ns = 0;
-    resp_value = Bytes.of_string msg;
-  }
-
 let op_name = function
   | Wire.Get -> "GET"
   | Wire.Set -> "SET"
@@ -147,18 +117,20 @@ let status_name = function
 (* Per-request server spans, built only when the server has a span
    buffer AND the request carried a trace context to adopt:
 
-     server.recv    decode + crew admission (the submit), child of the
-                    client's in-band context; admission decisions the
-                    policy core emits on the submitting thread land
+     server.recv    decode + crew admission (the submission), child of
+                    the client's in-band context; admission decisions
+                    the policy core emits on the submitting thread land
                     here as annotations via [Span.with_current]
-     server.apply   submission to promise fulfilment (queueing +
-                    store apply, compaction windows included)
-     server.respond response serialisation + socket write, closed by
-                    the connection writer's [on_response_written]
+     server.apply   submission to completion (queueing + store apply,
+                    compaction windows included); opened as the
+                    submission starts, so a request that runs to
+                    completion inline nests inside its recv span
+     server.respond completion to the last response byte hitting the
+                    socket, closed by the response's [written] hook
 
    Each parents on the previous, so the client's dispatch span and
    these three form one chain walkable from either end. *)
-type req_trace = { tr_buf : Span.t; tr_recv : Span.span }
+type req_trace = { tr_buf : Span.t; tr_recv : Span.span; tr_apply : Span.span }
 
 let start_trace t (req : Wire.request) ~ts =
   match (t.cfg.spans, req.Wire.trace) with
@@ -170,243 +142,138 @@ let start_trace t (req : Wire.request) ~ts =
     Span.annotate buf recv ~key:"op" ~value:(op_name req.Wire.op);
     Span.annotate buf recv ~key:"key" ~value:(string_of_int req.Wire.key);
     Span.annotate buf recv ~key:"req_id" ~value:(string_of_int req.Wire.id);
-    Some { tr_buf = buf; tr_recv = recv }
+    let apply = Span.start ~parent:(Span.context recv) buf ~name:"server.apply" ~ts in
+    Some { tr_buf = buf; tr_recv = recv; tr_apply = apply }
   | _ -> None
 
-(* Run the runtime submission with the recv span current on this (conn
-   reader) thread, so the policy core's on_decision hook can annotate
-   it; the recv span closes when the submission returns, Stopped
-   included. *)
+(* Run the runtime submission with the recv span current on this loop
+   thread, so the policy core's on_decision hook can annotate it; the
+   recv span closes when the submission returns, Stopped included. *)
 let traced_submit tr f =
   match tr with
   | None -> f ()
-  | Some { tr_buf; tr_recv } ->
+  | Some { tr_buf; tr_recv; _ } ->
     Fun.protect
       ~finally:(fun () -> Span.finish tr_buf tr_recv ~ts:(now_ns ()))
       (fun () -> Span.with_current tr_buf tr_recv f)
 
-(* Wrap the completion-side thunk: the apply span opens now (submission
-   done), closes when the thunk's await returns; the respond span is
-   enqueued — via [push] — in the connection's respond FIFO for
-   [on_response_written]. Untraced requests enqueue a [None]
-   placeholder: thunks complete in arrival order and
-   [on_response_written] fires in wire order, so the FIFO pairs every
-   response with its (possible) span even when traced and untraced
-   requests interleave. (The threads engine's strict
-   thunk-then-write alternation allowed a single cell; the event
-   engine overlaps later thunk completions with earlier flushes, so
-   the hand-off must be a queue.) *)
-let traced_thunk tr push thunk =
-  match tr with
-  | None ->
-    fun () ->
-      let resp = thunk () in
-      push None;
-      resp
-  | Some { tr_buf; tr_recv } ->
-    let apply =
-      Span.start ~parent:(Span.context tr_recv) tr_buf ~name:"server.apply"
-        ~ts:(now_ns ())
-    in
-    fun () ->
-      let resp = thunk () in
-      let now = now_ns () in
-      Span.finish tr_buf apply ~ts:now;
-      let respond =
-        Span.start ~parent:(Span.context apply) tr_buf ~name:"server.respond" ~ts:now
-      in
-      Span.annotate tr_buf respond ~key:"status" ~value:(status_name resp.Wire.status);
-      push (Some (tr_buf, respond));
-      resp
-
-(* Submit one decoded request to the runtime. Called on the connection's
-   read side (reader thread or loop domain); must not block, so it
-   returns the thunk the completion side awaits. Inflight counts
-   submitted-but-unanswered requests. *)
-let handle t push (req : Wire.request) =
+(* Handle one decoded request on loop [loop], which drives runtime
+   worker [loop]: submit with [~self:loop], so a read or an own-worker
+   write runs to completion right here and anything else is handed to
+   its worker's loop. [reply] fills the request's response slot; it may
+   run on any domain. Inflight counts submitted-but-unanswered
+   requests. *)
+let handle t ~loop (req : Wire.request) reply =
   Registry.incr t.m.requests_c;
   let start = now_ns () in
   let tr = start_trace t req ~ts:start in
-  let finish hist =
-    let dt = now_ns () -. start in
+  Registry.set t.m.inflight_g (float_of_int (Atomic.fetch_and_add t.inflight 1 + 1));
+  let respond hist status value =
+    let now = now_ns () in
+    let dt = now -. start in
     Registry.observe hist dt;
     Registry.set t.m.inflight_g (float_of_int (Atomic.fetch_and_add t.inflight (-1) - 1));
-    int_of_float dt
+    let resp =
+      { Wire.resp_id = req.Wire.id; status; timing_ns = int_of_float dt; resp_value = value }
+    in
+    match tr with
+    | None -> reply resp ~written:ignore
+    | Some { tr_buf; tr_apply; _ } ->
+      Span.finish tr_buf tr_apply ~ts:now;
+      let respond =
+        Span.start ~parent:(Span.context tr_apply) tr_buf ~name:"server.respond" ~ts:now
+      in
+      Span.annotate tr_buf respond ~key:"status" ~value:(status_name status);
+      reply resp ~written:(fun () -> Span.finish tr_buf respond ~ts:(now_ns ()))
   in
-  Registry.set t.m.inflight_g (float_of_int (Atomic.fetch_and_add t.inflight 1 + 1));
+  let failed hist e =
+    respond hist Wire.Err
+      (Bytes.of_string
+         (match e with
+         | Runtime.Stopped -> "server shutting down"
+         | e -> Printexc.to_string e))
+  in
+  (* Submit through the runtime; [Stopped] (or any raise) at submission
+     answers the request, as a failed completion does. *)
+  let submit hist f =
+    match traced_submit tr f with () -> () | exception e -> failed hist e
+  in
   (* Cluster routing happens before any runtime submission: a request
      for a shard this node does not lead is answered WRONG_SHARD with
      the node's current map, and CLUSTER_INFO never touches the store. *)
   let misrouted =
     match (t.cfg.cluster, req.Wire.op) with
     | Some cl, (Wire.Get | Wire.Set | Wire.Delete) -> (
-      match
-        cl.cl_check ~key:req.Wire.key ~write:(req.Wire.op <> Wire.Get)
-      with
+      match cl.cl_check ~key:req.Wire.key ~write:(req.Wire.op <> Wire.Get) with
       | Ok () -> None
       | Error map -> Some map)
     | _ -> None
   in
-  let thunk =
-    match misrouted with
-    | Some map ->
-      Registry.incr t.m.wrong_shard_c;
-      fun () ->
-        let timing_ns = finish t.m.get_h in
-        {
-          Wire.resp_id = req.Wire.id;
-          status = Wire.Wrong_shard;
-          timing_ns;
-          resp_value = map;
-        }
-    | None -> (
+  match misrouted with
+  | Some map ->
+    Registry.incr t.m.wrong_shard_c;
+    respond t.m.get_h Wire.Wrong_shard map
+  | None -> (
     match req.Wire.op with
     | Wire.Cluster_info -> (
       match t.cfg.cluster with
-      | None ->
-        fun () ->
-          let timing_ns = finish t.m.get_h in
-          {
-            Wire.resp_id = req.Wire.id;
-            status = Wire.Err;
-            timing_ns;
-            resp_value = Bytes.of_string "not a cluster member";
-          }
-      | Some cl ->
-        fun () ->
-          let r = cl.cl_info req.Wire.value in
-          let timing_ns = finish t.m.get_h in
-          (match r with
-          | Ok map ->
-            {
-              Wire.resp_id = req.Wire.id;
-              status = Wire.Cluster_ok;
-              timing_ns;
-              resp_value = map;
-            }
-          | Error e ->
-            {
-              Wire.resp_id = req.Wire.id;
-              status = Wire.Err;
-              timing_ns;
-              resp_value = Bytes.of_string e;
-            }))
-    | Wire.Get -> (
-      match traced_submit tr (fun () -> Runtime.get_async t.runtime ~key:req.Wire.key) with
-      | promise ->
-        fun () ->
-          let value = Promise.await promise in
-          (* Quorum-read fence: the value just read may include writes
-             applied locally but not yet replicated; in quorum-ack
-             cluster mode the response waits until the key's partition
-             has no unreplicated suffix, so an observed value can never
-             vanish in a failover (which would break linearizability). *)
-          (match t.cfg.cluster with
-          | Some cl -> cl.cl_read_fence ~key:req.Wire.key
-          | None -> ());
-          let timing_ns = finish t.m.get_h in
-          (match value with
-          | Some v ->
-            { Wire.resp_id = req.Wire.id; status = Wire.Ok; timing_ns; resp_value = v }
-          | None ->
-            {
-              Wire.resp_id = req.Wire.id;
-              status = Wire.Not_found;
-              timing_ns;
-              resp_value = Bytes.empty;
-            })
-      | exception Runtime.Stopped ->
-        fun () ->
-          ignore (finish t.m.get_h);
-          err_response req.Wire.id "server shutting down")
-    | Wire.Set -> (
+      | None -> respond t.m.get_h Wire.Err (Bytes.of_string "not a cluster member")
+      | Some cl -> (
+        match cl.cl_info req.Wire.value with
+        | Ok map -> respond t.m.get_h Wire.Cluster_ok map
+        | Error e -> respond t.m.get_h Wire.Err (Bytes.of_string e)))
+    | Wire.Get ->
+      let answer = function
+        | Ok (Some v) -> respond t.m.get_h Wire.Ok v
+        | Ok None -> respond t.m.get_h Wire.Not_found Bytes.empty
+        | Error e -> failed t.m.get_h e
+      in
+      submit t.m.get_h (fun () ->
+          Runtime.get_k ~self:loop t.runtime ~key:req.Wire.key (fun r ->
+              (* Quorum-read fence: the value just read may include
+                 writes applied locally but not yet replicated; in
+                 quorum-ack cluster mode the response waits until the
+                 key's partition has no unreplicated suffix, so an
+                 observed value can never vanish in a failover (which
+                 would break linearizability). The fence calls back
+                 when the partition drains — no loop ever blocks. *)
+              match (t.cfg.cluster, r) with
+              | Some cl, Ok _ -> cl.cl_read_fence ~key:req.Wire.key (fun () -> answer r)
+              | _ -> answer r))
+    | Wire.Set ->
       note_routed t req.Wire.key;
-      match
-        traced_submit tr (fun () ->
-            Runtime.set_async ?token:req.Wire.token t.runtime ~key:req.Wire.key
-              ~value:req.Wire.value)
-      with
-      | promise ->
-        fun () ->
-          Promise.await promise;
-          let timing_ns = finish t.m.set_h in
-          { Wire.resp_id = req.Wire.id; status = Wire.Ok; timing_ns; resp_value = Bytes.empty }
-      | exception Runtime.Stopped ->
-        fun () ->
-          ignore (finish t.m.set_h);
-          err_response req.Wire.id "server shutting down")
-    | Wire.Delete -> (
+      submit t.m.set_h (fun () ->
+          Runtime.set_k ~self:loop ?token:req.Wire.token t.runtime ~key:req.Wire.key
+            ~value:req.Wire.value (function
+            | Ok () -> respond t.m.set_h Wire.Ok Bytes.empty
+            | Error e -> failed t.m.set_h e))
+    | Wire.Delete ->
       note_routed t req.Wire.key;
-      match traced_submit tr (fun () -> Runtime.delete_async t.runtime ~key:req.Wire.key) with
-      | promise ->
-        fun () ->
-          let present = Promise.await promise in
-          let timing_ns = finish t.m.delete_h in
-          {
-            Wire.resp_id = req.Wire.id;
-            status = (if present then Wire.Ok else Wire.Not_found);
-            timing_ns;
-            resp_value = Bytes.empty;
-          }
-      | exception Runtime.Stopped ->
-        fun () ->
-          ignore (finish t.m.delete_h);
-          err_response req.Wire.id "server shutting down"))
-  in
-  traced_thunk tr push thunk
+      submit t.m.delete_h (fun () ->
+          Runtime.delete_k ~self:loop t.runtime ~key:req.Wire.key (function
+            | Ok present ->
+              respond t.m.delete_h (if present then Wire.Ok else Wire.Not_found) Bytes.empty
+            | Error e -> failed t.m.delete_h e)))
 
-let spawn_conn t fd =
-  (* Only the id/metric updates need [conns_lock]; the callback record
-     is built outside it so the locked section stays minimal (and the
-     [on_closed] closure, which takes [conns_lock] itself when the
-     connection later dies, is not constructed under it). *)
-  let id =
-    Sync.with_lock t.conns_lock (fun () ->
-        let id = t.next_conn in
-        t.next_conn <- id + 1;
-        Registry.incr t.m.conns_accepted_c;
-        t.active <- t.active + 1;
-        Registry.set t.m.conns_active_g (float_of_int t.active);
-        id)
-  in
-  (* The respond-span hand-off FIFO: thunks push one entry per response
-     at completion (in arrival order), [on_response_written] pops one
-     per response written (in wire order) — the two orders agree on
-     both engines, so entry k always belongs to response k. *)
-  let respond_q : (Span.t * Span.span) option Queue.t = Queue.create () in
-  let rq_lock = Mutex.create () in
-  let push sp = Sync.with_lock rq_lock (fun () -> Queue.add sp respond_q) in
-  let cb =
-    {
-      Conn.handle = handle t push;
-      on_bytes_in = (fun n -> Registry.incr ~by:n t.m.bytes_in_c);
-      on_bytes_out = (fun n -> Registry.incr ~by:n t.m.bytes_out_c);
-      on_response_written =
-        (fun _resp ->
-          match
-            Sync.with_lock rq_lock (fun () -> Queue.take_opt respond_q)
-          with
-          | Some (Some (buf, sp)) -> Span.finish buf sp ~ts:(now_ns ())
-          | Some None | None -> ());
-      on_protocol_error = (fun _msg -> Registry.incr t.m.protocol_errors_c);
-      on_closed =
-        (fun () ->
-          Sync.with_lock t.conns_lock (fun () ->
-              Hashtbl.remove t.conns id;
-              t.active <- t.active - 1;
-              Registry.set t.m.conns_active_g (float_of_int t.active)));
-    }
-  in
-  match t.ev with
-  | Some pool -> Evloop.add pool ~fd cb
-  | None ->
-    (* Start-and-register stays atomic under [conns_lock]: [on_closed]
-       fires from the connection's own threads and must observe the
-       table entry it removes, even if the peer disconnects instantly. *)
-    Sync.with_lock t.conns_lock (fun () ->
-        Hashtbl.replace t.conns id (Conn.start ~wire:t.wire ~fd cb))
+(* The connection callbacks, one record shared by every connection. *)
+let callbacks t =
+  {
+    Evloop.handle = handle t;
+    on_bytes_in = (fun n -> Registry.incr ~by:n t.m.bytes_in_c);
+    on_bytes_out = (fun n -> Registry.incr ~by:n t.m.bytes_out_c);
+    on_protocol_error = (fun _msg -> Registry.incr t.m.protocol_errors_c);
+    on_closed =
+      (fun () ->
+        Registry.set t.m.conns_active_g
+          (float_of_int (Atomic.fetch_and_add t.active (-1) - 1)));
+  }
 
-let acceptor_loop t () =
+let spawn_conn t cb fd =
+  Registry.incr t.m.conns_accepted_c;
+  Registry.set t.m.conns_active_g (float_of_int (Atomic.fetch_and_add t.active 1 + 1));
+  Evloop.add t.ev ~fd cb
+
+let acceptor_loop t cb () =
   let rec loop () =
     match Unix.accept t.listen_fd with
     | fd, _addr ->
@@ -414,7 +281,7 @@ let acceptor_loop t () =
         (try Unix.close fd with Unix.Unix_error _ -> ())
       else begin
         Unix.setsockopt fd Unix.TCP_NODELAY true;
-        spawn_conn t fd;
+        spawn_conn t cb fd;
         loop ()
       end
     | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL | Unix.ENOTCONN), _, _) ->
@@ -440,6 +307,8 @@ let acceptor_loop t () =
 
 let start ?registry cfg ~runtime =
   if cfg.backlog < 1 then invalid_arg "Net.Server.start: backlog";
+  if Runtime.worker_domains runtime then
+    invalid_arg "Net.Server.start: the runtime must be started with worker_domains = false";
   (* A peer closing mid-write must not kill the process. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let reg =
@@ -459,41 +328,40 @@ let start ?registry cfg ~runtime =
     | Unix.ADDR_INET (_, p) -> p
     | Unix.ADDR_UNIX _ -> cfg.port
   in
+  let m = metrics_of reg ~n_workers:(Runtime.n_workers runtime) in
+  let on_slow_drop () =
+    Registry.incr m.slow_client_drops_c;
+    match cfg.spans with
+    | Some buf -> Span.event buf ~name:"net.slow_client_drop" ~ts:(now_ns ())
+    | None -> ()
+  in
+  let wire = Wire.create ~max_frame:cfg.max_frame () in
+  (* One loop per runtime worker: loop [i] drives worker [i]. *)
+  let ev =
+    Evloop.create ~wire ~loops:(Runtime.n_workers runtime) ~max_pending:cfg.max_pending
+      ~on_slow_drop
+      ~drive:(fun w -> Runtime.run_queued runtime ~worker:w)
+      ()
+  in
+  Runtime.set_waker runtime (Evloop.wake ev);
   let t =
     {
       cfg;
       runtime;
-      wire = Wire.create ~max_frame:cfg.max_frame ();
       listen_fd;
       bound_port;
       reg;
-      m = metrics_of reg ~n_workers:(Runtime.n_workers runtime);
-      conns = Hashtbl.create 64;
-      conns_lock = Mutex.create ();
-      next_conn = 0;
-      active = 0;
+      m;
+      ev;
+      active = Atomic.make 0;
       acceptor = None;
-      ev = None;
       inflight = Atomic.make 0;
       stopping = Atomic.make false;
       stop_lock = Mutex.create ();
     }
   in
-  (match cfg.engine with
-  | Threads -> ()
-  | Evloop ->
-    let on_slow_drop () =
-      Registry.incr t.m.slow_client_drops_c;
-      match cfg.spans with
-      | Some buf -> Span.event buf ~name:"net.slow_client_drop" ~ts:(now_ns ())
-      | None -> ()
-    in
-    t.ev <-
-      Some
-        (Evloop.create ~wire:t.wire ~loops:cfg.loops
-           ~completions:(max 4 (2 * cfg.loops))
-           ~max_pending:cfg.max_pending ~on_slow_drop ()));
-  t.acceptor <- Some (Thread.create (fun () -> acceptor_loop t ()) ());
+  let cb = callbacks t in
+  t.acceptor <- Some (Thread.create (fun () -> acceptor_loop t cb ()) ());
   t
 
 let port t = t.bound_port
@@ -508,24 +376,13 @@ let stop t =
            after the acceptor has exited. *)
         (try Unix.shutdown t.listen_fd Unix.SHUTDOWN_ALL
          with Unix.Unix_error _ -> ());
-        (match t.acceptor with Some a -> Thread.join a | None -> ());
+        Option.iter Thread.join t.acceptor;
         t.acceptor <- None;
         (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-        match t.ev with
-        | Some pool ->
-          (* The pool drains every connection it owns: half-close the
-             receive sides, answer everything accepted, flush, then
-             join the loop domains and completion threads. *)
-          Evloop.stop pool
-        | None ->
-          (* Snapshot under the lock, then drain outside it: conns
-             remove themselves from the table via on_closed. *)
-          let live =
-            Sync.with_lock t.conns_lock (fun () ->
-                Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [])
-          in
-          List.iter Conn.drain live;
-          List.iter Conn.join live
+        (* The pool drains every connection it owns: half-close the
+           receive sides, answer everything accepted, flush, then join
+           the loop domains. *)
+        Evloop.stop t.ev
       end)
 
 type stats = {
@@ -543,7 +400,7 @@ type stats = {
 let stats t =
   {
     conns_accepted = Registry.counter_value t.m.conns_accepted_c;
-    conns_active = Sync.with_lock t.conns_lock (fun () -> t.active);
+    conns_active = Atomic.get t.active;
     requests = Registry.counter_value t.m.requests_c;
     inflight = Atomic.get t.inflight;
     bytes_in = Registry.counter_value t.m.bytes_in_c;

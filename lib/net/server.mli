@@ -1,41 +1,43 @@
 (** TCP front-end for the multicore runtime KVS: an acceptor thread plus
-    a serving engine, all feeding one {!C4_runtime.Server} — CREW
-    routing, write compaction, and crash recovery apply to network
+    the {!Evloop} serving engine, feeding one {!C4_runtime.Server} —
+    CREW routing, write compaction, and crash recovery apply to network
     traffic unchanged.
 
-    Two engines ({!config.engine}), identical in semantics:
+    Run-to-completion serving: the runtime must be started with
+    [worker_domains = false], and the engine runs one event-loop domain
+    per runtime worker, loop [i] driving worker [i]. The request path:
 
-    {ul
-    {- [Evloop] (the default): a fixed pool of {!config.loops} event-loop
-       domains (see {!Evloop}), each multiplexing its share of the
-       connections with poll(2) plus a self-pipe wakeup — batched
-       nonblocking reads into per-loop scratch buffers, pipelined
-       responses coalesced into one write per wakeup. Scales to tens of
-       thousands of connections on a handful of domains.}
-    {- [Threads]: one {!Conn} (reader + ordered writer thread) per
-       connection — two OS threads each; kept for comparison benchmarks
-       (netbench's threads-vs-evloop rows) and as a fallback.}}
+    {ol
+    {- {b decode} — loop [i] reads the connection's bytes and decodes
+       the frame;}
+    {- {b admit} — reads need no admission; a SET/DELETE goes through
+       the d-CREW policy core, which names the partition's writer;}
+    {- {b inline or forward} — a read, or a write whose writer is
+       worker [i], runs to completion on loop [i] itself; any other
+       write is queued for its writer's loop, which is woken;}
+    {- {b slot} — the completion fills the request's slot in the
+       connection's arrival-ordered slot queue (waking loop [i] when it
+       ran elsewhere);}
+    {- {b flush} — loop [i] encodes the connection's ready prefix of
+       slots and writes it with one coalesced write(2).}}
 
-    Request handling: GET/SET/DELETE frames are submitted through the
-    runtime's async API from the connection's read side (reader thread
-    or loop domain — submission never blocks), and each response is
-    produced by a thunk awaited in arrival order (on the connection
-    writer, or on the event engine's completion executor, which keeps
-    per-connection affinity) — so per-connection pipelining order is
-    preserved while operations from different connections (and
-    different keys) proceed in parallel. SET acks are only emitted
+    Responses on one connection therefore leave in request order (the
+    pipelining guarantee), while requests from different connections
+    (and different keys) proceed in parallel. SET acks are only emitted
     after the store apply (the runtime's deferred-response rule), so an
     acknowledged write observed by a client survives worker crashes.
+    Overload is backpressure: a connection with {!config.max_pending}
+    unanswered requests is not read until they drain.
 
     Shutdown ({!stop}) drains gracefully: the listening socket closes
     first (no new connections), every live connection is half-closed and
-    its already-received requests submitted, all pending responses are
+    its already-received requests answered, all pending responses are
     flushed, and only then does [stop] return. The runtime server is
-    {e not} stopped — it is owned by the caller, who should call
-    {!C4_runtime.Server.stop} after this returns (that order, plus the
-    runtime's reject-then-drain stop, is what guarantees no
-    accepted-but-unanswered request is ever dropped). Both engines
-    honour this contract.
+    {e not} stopped — it is owned by the caller, who must call
+    {!C4_runtime.Server.stop} after this returns (that order is what
+    guarantees no accepted-but-unanswered request is ever dropped, and
+    the loops being gone is what lets the runtime drain its backlogs
+    itself).
 
     Metrics (all in [registry], which must be thread-safe):
     [net.conns_accepted], [net.conns_active], [net.bytes_in],
@@ -43,7 +45,8 @@
     [net.requests], [net.accept_errors] (accepts shed to
     [EMFILE]/[ENFILE] fd exhaustion — the acceptor backs off and
     survives instead of dying), [net.slow_client_drops] (connections
-    dropped for exceeding {!config.max_pending}), and per-op
+    dropped once their completed but unflushed output passes
+    {!Evloop.max_unflushed} bytes), and per-op
     service-time histograms [net.get_ns],
     [net.set_ns], [net.delete_ns]. Each mutation additionally bumps a
     [net.routed_w<i>] counter for the worker the d-CREW policy core's
@@ -58,10 +61,10 @@
     a {!Wire.trace_context} grows a three-span chain in the buffer —
     [server.recv] (decode + crew admission, annotated with the policy
     decisions taken while submitting, parented on the client's in-band
-    context), [server.apply] (submission to promise fulfilment) and
-    [server.respond] (closed when the connection writer finished
-    writing the response) — one connected chain with the client's
-    dispatch span. Context-free requests trace nothing. *)
+    context), [server.apply] (submission to completion) and
+    [server.respond] (closed when the response's last byte went to the
+    socket) — one connected chain with the client's dispatch span.
+    Context-free requests trace nothing. *)
 
 (** Cluster-runtime hooks, injected by [C4_clusterd.Member] (which sits
     {e above} this library in the build graph — hence plain functions
@@ -73,29 +76,18 @@
     shard map) and never reaches the runtime. {!Wire.Cluster_info}
     requests are answered by [cl_info] (payload = an encoded map to
     install if newer, or empty to just fetch) with {!Wire.Cluster_ok}
-    carrying the node's current map. [cl_read_fence ~key] is called on
-    the connection's completion side (the connection writer on the
-    threads engine, a completion-executor thread on the event engine —
-    never a loop domain, precisely because the fence blocks) after a
-    GET's store read and before its
-    response goes out; it must block until the key's partition has no
+    carrying the node's current map. [cl_read_fence ~key k] is called
+    after a GET's store read, before its response goes out; it must
+    call [k] (on any thread, once) when the key's partition has no
     locally-applied-but-unreplicated suffix (quorum-ack mode), so a
-    value a client observed can never be lost to a failover. Requests
-    answered WRONG_SHARD bump [net.wrong_shard]. *)
+    value a client observed can never be lost to a failover. It must
+    not block: it is called on an event loop. Requests answered
+    WRONG_SHARD bump [net.wrong_shard]. *)
 type cluster = {
   cl_check : key:int -> write:bool -> (unit, bytes) result;
-  cl_read_fence : key:int -> unit;
+  cl_read_fence : key:int -> (unit -> unit) -> unit;
   cl_info : bytes -> (bytes, string) result;
 }
-
-(** The serving engine: [Evloop] (poll-based event-loop domains, the
-    default) or [Threads] (reader + writer thread per connection). *)
-type engine = Evloop | Threads
-
-val engine_to_string : engine -> string
-
-(** Inverse of {!engine_to_string}; [Error] names the valid forms. *)
-val engine_of_string : string -> (engine, string) result
 
 type config = {
   host : string;  (** address to bind, e.g. "127.0.0.1" *)
@@ -108,26 +100,24 @@ type config = {
   cluster : cluster option;
       (** shard-map routing + replication hooks; [None] (the default)
           serves every key and rejects CLUSTER_INFO *)
-  engine : engine;
-  loops : int;  (** event-loop domains ([Evloop] engine only) *)
   max_pending : int;
-      (** slow-client bound: a connection holding this many submitted
-          but not-yet-flushed responses is dropped (counted in
-          [net.slow_client_drops], annotated as a protocol error on
-          its trace) instead of buffering unboundedly *)
+      (** backpressure bound: a connection holding this many decoded
+          requests whose responses are not yet flushed is neither
+          decoded nor read until some drain *)
 }
 
 (** Loopback, ephemeral port, 64-deep backlog, 1 MiB frames, no span
-    buffer, no cluster hooks; [Evloop] engine with 2 loop domains and a
-    1024-response slow-client bound. *)
+    buffer, no cluster hooks, 1024 pending requests per connection. *)
 val default_config : config
 
 type t
 
-(** Bind, listen, and start accepting. [registry] (created with
-    [~thread_safe:true] when supplied) receives the metrics; a private
-    thread-safe registry is used when omitted. Raises [Unix.Unix_error]
-    when the address cannot be bound. *)
+(** Bind, listen, and start accepting; start one event loop per runtime
+    worker and install their wakeups as the runtime's waker. [registry]
+    (created with [~thread_safe:true] when supplied) receives the
+    metrics; a private thread-safe registry is used when omitted.
+    Raises [Unix.Unix_error] when the address cannot be bound, and
+    [Invalid_argument] when [runtime] runs worker domains. *)
 val start : ?registry:C4_obs.Registry.t -> config -> runtime:C4_runtime.Server.t -> t
 
 (** The port actually bound (resolves port 0). *)
@@ -147,7 +137,7 @@ type stats = {
   bytes_out : int;
   protocol_errors : int;
   accept_errors : int;  (** accepts shed to fd exhaustion *)
-  slow_client_drops : int;  (** conns dropped at the max_pending bound *)
+  slow_client_drops : int;  (** conns dropped at the unflushed-output bound *)
 }
 
 val stats : t -> stats

@@ -45,12 +45,11 @@ let locked t f =
 let id_counter = Atomic.make 1
 
 let id_seed =
-  lazy
-    ((Unix.getpid () * 1_000_003)
-    lxor int_of_float (Float.rem (Unix.gettimeofday () *. 1e6) 1e15))
+  (Unix.getpid () * 1_000_003)
+  lxor int_of_float (Float.rem (Unix.gettimeofday () *. 1e6) 1e15)
 
 let fresh_id () =
-  let z = Atomic.fetch_and_add id_counter 1 + Lazy.force id_seed in
+  let z = Atomic.fetch_and_add id_counter 1 + id_seed in
   let z = (z lxor (z lsr 30)) * 0x2545F4914F6CDD1D in
   let z = (z lxor (z lsr 27)) * 0x27BB2EE687B0B0FD in
   (z lxor (z lsr 31)) land max_int

@@ -11,7 +11,7 @@
       process wires in);
     - [/] — a plain-text index.
 
-    Deliberately {e not} built on [C4_net.Conn]: that plumbing speaks
+    Deliberately {e not} built on [C4_net]'s serving loops: they speak
     the binary KVS wire protocol and lives in [c4_net], which depends
     on this library — the scrape path must stay below it. One thread
     per scrape connection, response then close; scrapes are rare and

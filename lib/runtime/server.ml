@@ -15,16 +15,23 @@ exception Stopped
    ack is only sent after the store apply, so a crash never loses one. *)
 exception Crash_injected
 
+(* A completion: called exactly once, with the result after the store
+   apply (and, with a WAL, after the append and the durability policy),
+   or with the exception that made the apply fail. *)
+type 'a k = ('a, exn) result -> unit
+
 type op =
-  | Get of int * bytes option Promise.t
-  | Set of int * bytes * int option * unit Promise.t
-      (** key, value, idempotency token, ack *)
-  | Delete of int * bool Promise.t
+  | Get of int * bytes option k
+  | Set of int * bytes * int option * unit k  (** key, value, idempotency token *)
+  | Delete of int * bool k
   | Gate of unit Promise.t * unit Promise.t
       (** park the worker: fulfil [entered], block on [release] —
           deterministic-replay support (see [pause_worker]) *)
   | Crash
 
+(* The counters are bumped only by the worker's driver (its domain, or
+   the event loop driving it), so they need no lock; [stats] reads them
+   from other domains, which can lag but never loses an update. *)
 type worker_state = {
   id : int;
   channel : op Channel.t;
@@ -43,6 +50,7 @@ type config = {
   n_buckets : int;
   n_partitions : int;
   crew : Crew_config.t;
+  worker_domains : bool;
   recovery : bool;
   monitor_interval : float;
   clock : unit -> float;
@@ -57,6 +65,7 @@ let default_config =
     n_buckets = 4096;
     n_partitions = 256;
     crew = Crew_config.queued;
+    worker_domains = true;
     recovery = true;
     monitor_interval = 0.0005;
     (* ns, to match the policy core's time unit across both engines *)
@@ -67,11 +76,11 @@ let default_config =
   }
 
 (* The multicore driver around the crew policy core (the runtime's half
-   of the {!C4_crew.Core.ENGINE} contract): the core decides, worker
-   domains and channels execute. All core transitions that touch shared
-   routing state (admission, releases, sweeps, recovery remaps) run
-   under [route_lock]; per-worker window transitions are worker-private
-   and rely on the thread-safe registry for their counters. *)
+   of the {!C4_crew.Core.ENGINE} contract): the core decides, drivers
+   and channels execute. All core transitions that touch shared routing
+   state (admission, releases, sweeps, recovery remaps) run under
+   [route_lock]; per-worker window transitions are worker-private and
+   rely on the thread-safe registry for their counters. *)
 type t = {
   cfg : config;
   store : Store.t;
@@ -83,6 +92,10 @@ type t = {
      route (the classic two-writers-after-failover bug). *)
   route_lock : Mutex.t;
   mutable next_reader : int;
+  (* Externally driven workers: how a producer wakes the driver of a
+     worker whose channel it just pushed to. Worker domains block in
+     [Channel.pop] and need no waker. *)
+  waker : (int -> unit) Atomic.t;
   stopped : bool Atomic.t;
   stop_lock : Mutex.t;
   mutable monitor : unit Domain.t option;
@@ -90,9 +103,9 @@ type t = {
   mutable requeued_n : int;
   (* Durability tier: [None] keeps the pre-WAL behaviour (everything
      dies with the process). With a WAL, every mutation is appended
-     BEFORE its promise is fulfilled, and the fulfilment itself is
-     routed through [Wal.commit] so an ack can additionally wait for
-     the group-commit fsync — on the WAL's sync domain, never a worker. *)
+     BEFORE its completion runs, and the completion itself is routed
+     through [Wal.commit] so an ack can additionally wait for the
+     group-commit fsync — on the WAL's sync domain, never a worker. *)
   wal : Wal.t option;
   wal_replayed_n : int;
 }
@@ -100,13 +113,6 @@ type t = {
 let owner_of_key t key =
   Sync.with_lock t.route_lock (fun () ->
       Core.route_owner t.core ~partition:(Store.partition_of_key t.store key))
-
-(* Only token-free writes are harvested into a compaction batch: a
-   tokened (retried) write must go through [Store.set_idempotent]'s
-   check-and-record, which a combined batched update would bypass. *)
-let is_plain_set_to key = function
-  | Set (k, _, None, _) -> k = key
-  | Set _ | Get _ | Delete _ | Gate _ | Crash -> false
 
 (* The write's response left: hand the release to the policy core.
    Non-strict because a TTL sweep (or a recovery eviction) may have
@@ -116,193 +122,141 @@ let release_write t key =
       Core.write_done ~strict:false t.core
         ~partition:(Store.partition_of_key t.store key))
 
-(* Log the mutation (when a WAL is configured) and route [ack] — the
-   release + fulfil step — through the durability policy. Append runs
-   here, on the worker, BEFORE any acknowledgement exists; the ack
-   itself runs inline without a WAL, and through [Wal.commit] with one,
-   so fsync-gated policies fulfil from the WAL's sync domain after the
-   group commit. [group] marks a compaction-window close (the window's
-   deferred responses are the natural group-commit batch). [record] is
-   [None] for a mutation that changed nothing worth logging (a
-   suppressed duplicate — its original is already in the log). *)
-let log_then_ack t ~key ~record ~group ack =
+(* Append a mutation to its partition's log (when a WAL is configured),
+   on the worker, before any acknowledgement exists. *)
+let log t ~key op =
   match t.wal with
-  | None -> ack ()
-  | Some wal ->
-    let partition = Store.partition_of_key t.store key in
-    (match record with
-    | Some op -> ignore (Wal.append wal ~partition ~op)
-    | None -> ());
-    Wal.commit wal ~partition ~group ack
+  | None -> ()
+  | Some wal -> ignore (Wal.append wal ~partition:(Store.partition_of_key t.store key) ~op)
 
-(* Worker loop: CREW writes for owned partitions, balanced reads, and
-   the compaction fast path — pop a write, harvest every queued write to
-   the same key, and drive the core's window lifecycle: open, absorb
-   each harvested write, apply ONE batched update, close, and only then
-   answer all of them (deferred responses). *)
-let worker_loop t (w : worker_state) =
-  let store = t.store in
-  let apply_set key value token promise =
+(* Route [ack] — the release + completion step — through the durability
+   policy: inline without a WAL, through [Wal.commit] with one, so
+   fsync-gated policies complete from the WAL's sync domain after the
+   group commit. [group] marks a compaction-window close (the window's
+   deferred responses are the natural group-commit batch). *)
+let ack t ~key ~group f =
+  match t.wal with
+  | None -> f ()
+  | Some wal -> Wal.commit wal ~partition:(Store.partition_of_key t.store key) ~group f
+
+(* A mutation that raised before its ack existed (a closed WAL, an I/O
+   error) fails its completion instead of leaving the caller waiting
+   forever, and still releases its admission. *)
+let fail_write t key (k : _ k) e =
+  release_write t key;
+  k (Error e)
+
+(* Only token-free writes are harvested into a compaction batch: a
+   tokened (retried) write must go through [Store.set_idempotent]'s
+   check-and-record, which a combined batched update would bypass. *)
+let is_plain_set_to key = function
+  | Set (k, _, None, _) -> k = key
+  | Set _ | Get _ | Delete _ | Gate _ | Crash -> false
+
+let count (w : worker_state) ~writes n =
+  w.ops <- w.ops + n;
+  if writes then w.writes_n <- w.writes_n + n
+
+let apply_set t (w : worker_state) key value token (k : unit k) =
+  match
     let applied =
       match token with
       | None ->
-        Store.set store ~key ~value;
+        Store.set t.store ~key ~value;
         true
       | Some token -> (
-        match Store.set_idempotent store ~key ~value ~token with
+        match Store.set_idempotent t.store ~key ~value ~token with
         | `Applied -> true
         | `Duplicate ->
           w.dups <- w.dups + 1;
           false)
     in
-    w.ops <- w.ops + 1;
-    w.writes_n <- w.writes_n + 1;
-    let record = if applied then Some (Record.Set { key; value; token }) else None in
-    log_then_ack t ~key ~record ~group:false (fun () ->
+    count w ~writes:true 1;
+    (* A suppressed duplicate logs nothing: its original is in the log. *)
+    if applied then log t ~key (Record.Set { key; value; token })
+  with
+  | () ->
+    ack t ~key ~group:false (fun () ->
         release_write t key;
-        Promise.fulfil promise ())
-  in
-  let rec loop () =
-    match Channel.pop w.channel with
-    | None -> ()
-    | Some Crash -> raise Crash_injected
-    | Some (Gate (entered, release)) ->
-      Promise.fulfil entered ();
-      Promise.await release;
-      loop ()
-    | Some (Get (key, promise)) ->
-      let value, retries = Store.get store ~key in
-      w.retries <- w.retries + retries;
-      w.ops <- w.ops + 1;
-      Promise.fulfil promise value;
-      loop ()
-    | Some (Delete (key, promise)) ->
-      let present = Store.remove store ~key in
-      w.ops <- w.ops + 1;
-      w.writes_n <- w.writes_n + 1;
-      log_then_ack t ~key ~record:(Some (Record.Delete { key })) ~group:false
-        (fun () ->
-          release_write t key;
-          Promise.fulfil promise present);
-      loop ()
-    | Some (Set (key, value, (Some _ as token), promise)) ->
-      (* Tokened writes bypass batching; see [is_plain_set_to]. *)
-      apply_set key value token promise;
-      loop ()
-    | Some (Set (key, value, None, promise)) ->
-      if Core.compaction_enabled t.core then begin
-        let dependents = Channel.drain_matching w.channel ~f:(is_plain_set_to key) in
-        let max_batch = Core.max_batch t.core in
-        let dependents =
-          if List.length dependents > max_batch - 1 then begin
-            (* Put the overflow back in order; rare, but the window must
-               stay bounded. If the channel closed under us (shutdown),
-               fold the stragglers into this batch instead of losing
-               their promises. *)
-            let keep = List.filteri (fun i _ -> i < max_batch - 1) dependents
-            and overflow = List.filteri (fun i _ -> i >= max_batch - 1) dependents in
-            let orphaned =
-              List.filter (fun op -> not (Channel.try_push w.channel op)) overflow
-            in
-            keep @ orphaned
-          end
-          else dependents
-        in
-        match dependents with
-        | [] ->
-          apply_set key value None promise;
-          loop ()
-        | _ :: _ ->
-          (* The harvest found dependent writes: a compaction window in
-             core terms. Wall-clock engines hold no SLO budget, so the
-             window's deadline is "now" and it closes as soon as the
-             harvest is absorbed — the adaptive-close limit of the
-             model's policy (the queue IS empty: we just drained it). *)
-          let now = t.cfg.clock () in
-          ignore
-            (Core.open_window t.core ~worker:w.id ~key ~now ~arrival:now
-               ~mean_service:0.0);
-          Core.absorb t.core ~worker:w.id ~key ~id:0 ~now;
-          List.iteri
-            (fun i _ -> Core.absorb t.core ~worker:w.id ~key ~id:(i + 1) ~now)
-            dependents;
-          let values =
-            value
-            :: List.map
-                 (function
-                   | Set (_, v, _, _) -> v
-                   | Get _ | Delete _ | Gate _ | Crash -> assert false)
-                 dependents
-          in
-          Store.set_batched store ~key ~values;
-          ignore (Core.close_window t.core ~worker:w.id ~now:(t.cfg.clock ()));
-          let n = List.length values in
-          w.ops <- w.ops + n;
-          w.writes_n <- w.writes_n + n;
-          w.batches <- w.batches + 1;
-          w.batched_writes <- w.batched_writes + n;
-          (* Durability at window close: every absorbed write is logged
-             individually (replay re-applies them in order and converges
-             on the same final value the combined update produced), and
-             the window's deferred responses form ONE group-commit batch
-             — a single fsync covers them all. *)
-          (match t.wal with
-          | None -> ()
-          | Some wal ->
-            let partition = Store.partition_of_key store key in
-            List.iter
-              (fun value ->
-                ignore
-                  (Wal.append wal ~partition ~op:(Record.Set { key; value; token = None })))
-              values);
-          (* Deferred responses: nothing was acknowledged before the
-             combined update hit the store, and nothing is released
-             before the window closed (nor, with a WAL, before the
-             group commit). *)
-          log_then_ack t ~key ~record:None ~group:true (fun () ->
-              release_write t key;
-              Promise.fulfil promise ();
-              List.iter
-                (function
-                  | Set (k, _, _, p) ->
-                    release_write t k;
-                    Promise.fulfil p ()
-                  | Get _ | Delete _ | Gate _ | Crash -> assert false)
-                dependents);
-          loop ()
-      end
-      else begin
-        apply_set key value None promise;
-        loop ()
-      end
-  in
-  loop ()
+        k (Ok ()))
+  | exception e -> fail_write t key k e
 
-(* Run [worker_loop] and always publish death through [alive] — the
-   signal the monitor (crash) and [stop] (clean exit, ignored because
-   [stopped] is set first) both read. *)
-let run_worker t (w : worker_state) () =
-  (try worker_loop t w with Crash_injected -> ());
-  Atomic.set w.alive false
+(* Every queued plain write to [key], harvested from [w]'s channel and
+   bounded by the core's batch cap. *)
+let harvest t (w : worker_state) key =
+  let dependents = Channel.drain_matching w.channel ~f:(is_plain_set_to key) in
+  let max_batch = Core.max_batch t.core in
+  let dependents =
+    if List.length dependents > max_batch - 1 then begin
+      (* Put the overflow back in order; rare, but the window must stay
+         bounded. If the channel closed under us (shutdown), fold the
+         stragglers into this batch instead of losing their
+         completions. *)
+      let keep = List.filteri (fun i _ -> i < max_batch - 1) dependents
+      and overflow = List.filteri (fun i _ -> i >= max_batch - 1) dependents in
+      keep @ List.filter (fun op -> not (Channel.try_push w.channel op)) overflow
+    end
+    else dependents
+  in
+  List.map
+    (function
+      | Set (_, v, _, k) -> (v, k)
+      | Get _ | Delete _ | Gate _ | Crash -> assert false)
+    dependents
 
-let spawn_worker t w =
-  Atomic.set w.alive true;
-  w.domain <- Some (Domain.spawn (run_worker t w))
+(* The harvest found dependent writes: a compaction window in core
+   terms. Wall-clock engines hold no SLO budget, so the window's deadline
+   is "now" and it closes as soon as the harvest is absorbed — the
+   adaptive-close limit of the model's policy (the queue IS empty: we
+   just drained it). One batched update, then the deferred responses:
+   nothing is acknowledged before the combined update hit the store,
+   nothing released before the window closed (nor, with a WAL, before
+   the group commit). *)
+let apply_window t (w : worker_state) key (writes : (bytes * unit k) list) =
+  let now = t.cfg.clock () in
+  ignore (Core.open_window t.core ~worker:w.id ~key ~now ~arrival:now ~mean_service:0.0);
+  List.iteri (fun i _ -> Core.absorb t.core ~worker:w.id ~key ~id:i ~now) writes;
+  let values = List.map fst writes in
+  let outcome =
+    match
+      Store.set_batched t.store ~key ~values;
+      (* Every absorbed write is logged individually: replay re-applies
+         them in order and converges on the same final value the
+         combined update produced. *)
+      List.iter (fun value -> log t ~key (Record.Set { key; value; token = None })) values
+    with
+    | () -> Ok ()
+    | exception e -> Error e
+  in
+  ignore (Core.close_window t.core ~worker:w.id ~now:(t.cfg.clock ()));
+  match outcome with
+  | Error e -> List.iter (fun (_, k) -> fail_write t key k e) writes
+  | Ok () ->
+    let n = List.length values in
+    count w ~writes:true n;
+    w.batches <- w.batches + 1;
+    w.batched_writes <- w.batched_writes + n;
+    (* The window's deferred responses form ONE group-commit batch. *)
+    ack t ~key ~group:true (fun () ->
+        List.iter
+          (fun (_, k) ->
+            release_write t key;
+            k (Ok ()))
+          writes)
+
+let wake_all t = Array.iter (fun w -> (Atomic.get t.waker) w.id) t.workers
 
 (* ---------------- crash recovery ---------------- *)
 
-(* Called by the monitor with [route_lock] HELD and producers therefore
-   blocked. Ordering: join the corpse (so the old writer provably runs
-   no more store operations), remap its partitions to a survivor through
-   the core (which also evicts the dead worker's EWT pins — a stale pin
-   would keep routing writes at the corpse's channel), drain its
-   backlog, restart it, then requeue the backlog along the new routes.
+(* Called with [route_lock] HELD and producers therefore blocked, once
+   the dead worker provably runs no more store operations. Remap its
+   partitions to a survivor through the core (which also evicts the
+   dead worker's EWT pins — a stale pin would keep routing writes at the
+   corpse's channel), then requeue its backlog along the new routes.
    Ownership stays with the survivor — handing partitions back would
    reopen the stale-route window; the restarted worker rejoins as read
    capacity and as a future failover target. *)
-let recover_locked t (w : worker_state) =
-  (match w.domain with Some d -> Domain.join d | None -> ());
-  w.domain <- None;
+let remap_locked t (w : worker_state) =
   let survivor =
     let rec find i =
       if i >= t.cfg.n_workers then w.id
@@ -312,8 +266,6 @@ let recover_locked t (w : worker_state) =
     find 0
   in
   ignore (Core.reassign t.core ~from_worker:w.id ~to_worker:survivor);
-  let backlog = Channel.drain_matching w.channel ~f:(fun _ -> true) in
-  spawn_worker t w;
   List.iter
     (fun op ->
       match op with
@@ -330,9 +282,87 @@ let recover_locked t (w : worker_state) =
         in
         ignore (Channel.try_push t.workers.(dst).channel op);
         t.requeued_n <- t.requeued_n + 1)
-    backlog;
+    (Channel.drain_matching w.channel ~f:(fun _ -> true));
   t.recoveries_n <- t.recoveries_n + 1
 
+(* ---------------- the worker step ---------------- *)
+
+(* Run one popped op to completion: CREW writes for owned partitions,
+   reads, and the compaction fast path — a plain write harvests every
+   queued write to the same key and drives the core's window lifecycle
+   (see [apply_window]). The one body both drivers share: the blocking
+   [worker_loop] of a worker domain, and [run_queued] on an event loop
+   that drives the worker. A Crash kills a worker domain (the monitor
+   recovers it); a driven worker cannot die, so its driver recovers it
+   inline — the same remap and requeue, minus the join and respawn. *)
+let step t (w : worker_state) op =
+  match op with
+  | Crash ->
+    if t.cfg.worker_domains then raise Crash_injected;
+    Sync.with_lock t.route_lock (fun () ->
+        if not (Atomic.get t.stopped) then remap_locked t w);
+    wake_all t
+  | Gate (entered, release) ->
+    Promise.fulfil entered ();
+    Promise.await release
+  | Get (key, k) ->
+    let value, retries = Store.get t.store ~key in
+    w.retries <- w.retries + retries;
+    count w ~writes:false 1;
+    k (Ok value)
+  | Delete (key, k) -> (
+    match
+      let present = Store.remove t.store ~key in
+      count w ~writes:true 1;
+      log t ~key (Record.Delete { key });
+      present
+    with
+    | present ->
+      ack t ~key ~group:false (fun () ->
+          release_write t key;
+          k (Ok present))
+    | exception e -> fail_write t key k e)
+  | Set (key, value, None, k) when Core.compaction_enabled t.core -> (
+    match harvest t w key with
+    | [] -> apply_set t w key value None k
+    | dependents -> apply_window t w key ((value, k) :: dependents))
+  | Set (key, value, token, k) -> apply_set t w key value token k
+
+(* The standalone driver: a worker domain blocks on its channel. *)
+let rec worker_loop t (w : worker_state) =
+  match Channel.pop w.channel with
+  | None -> ()
+  | Some op ->
+    step t w op;
+    worker_loop t w
+
+(* Run [worker_loop] and always publish death through [alive] — the
+   signal the monitor (crash) and [stop] (clean exit, ignored because
+   [stopped] is set first) both read. Any exception counts as a death:
+   a worker that died silently while marked alive would strand every
+   op routed to it. *)
+let run_worker t (w : worker_state) () =
+  (try worker_loop t w with _ -> ());
+  Atomic.set w.alive false
+
+let spawn_worker t w =
+  Atomic.set w.alive true;
+  w.domain <- Some (Domain.spawn (run_worker t w))
+
+let run_queued t ~worker =
+  if t.cfg.worker_domains then invalid_arg "Server.run_queued: worker domains drive themselves";
+  let w = t.workers.(worker) in
+  (* Bounded by the backlog at entry, so producers that keep pushing
+     cannot starve the driver's other work. *)
+  for _ = 1 to Channel.length w.channel do
+    match Channel.try_pop w.channel with Some op -> step t w op | None -> ()
+  done
+
+let set_waker t f = Atomic.set t.waker f
+
+(* The crash monitor of worker domains: join a dead worker's domain (so
+   the old writer provably runs no more store operations), remap and
+   requeue, and restart it — all under [route_lock], producers blocked. *)
 let rec monitor_loop t =
   if not (Atomic.get t.stopped) then begin
     Array.iter
@@ -341,8 +371,12 @@ let rec monitor_loop t =
           Sync.with_lock t.route_lock (fun () ->
               (* Re-check under the lock: [stop] may have won the race, in
                  which case it owns the backlog (see [stop]'s final drain). *)
-              if (not (Atomic.get t.stopped)) && not (Atomic.get w.alive) then
-                recover_locked t w))
+              if (not (Atomic.get t.stopped)) && not (Atomic.get w.alive) then begin
+                Option.iter Domain.join w.domain;
+                w.domain <- None;
+                remap_locked t w;
+                spawn_worker t w
+              end))
       t.workers;
     Unix.sleepf t.cfg.monitor_interval;
     monitor_loop t
@@ -394,7 +428,7 @@ let start cfg =
         {
           id;
           channel = Channel.create ();
-          alive = Atomic.make false;
+          alive = Atomic.make (not cfg.worker_domains);
           domain = None;
           ops = 0;
           writes_n = 0;
@@ -426,6 +460,7 @@ let start cfg =
       core;
       route_lock = Mutex.create ();
       next_reader = 0;
+      waker = Atomic.make ignore;
       stopped = Atomic.make false;
       stop_lock = Mutex.create ();
       monitor = None;
@@ -435,20 +470,11 @@ let start cfg =
       wal_replayed_n = wal_replayed;
     }
   in
-  Array.iter (fun w -> spawn_worker t w) workers;
-  if cfg.recovery then t.monitor <- Some (Domain.spawn (fun () -> monitor_loop t));
+  if cfg.worker_domains then begin
+    Array.iter (fun w -> spawn_worker t w) workers;
+    if cfg.recovery then t.monitor <- Some (Domain.spawn (fun () -> monitor_loop t))
+  end;
   t
-
-(* Route + push as one atomic step under [route_lock]. [try_push] maps a
-   closed channel (stop won the race) to [Stopped] rather than a raw
-   [Invalid_argument] escaping from the channel layer. *)
-let submit_routed t pick op =
-  let ok =
-    Sync.with_lock t.route_lock (fun () ->
-        (not (Atomic.get t.stopped))
-        && Channel.try_push t.workers.(pick t).channel op)
-  in
-  if not ok then raise Stopped
 
 (* CREW admission through the policy core: on a pinned partition ride
    the pin, otherwise pin at the durable assignment ([`Static] — the
@@ -481,36 +507,78 @@ let pick_reader t =
   t.next_reader <- (r + 1) mod n;
   r
 
-let get_async t ~key =
-  let promise = Promise.create () in
-  submit_routed t pick_reader (Get (key, promise));
-  promise
+(* The worker the caller drives, when it drives one: only externally
+   driven runtimes honour [self]. *)
+let driven_by t self =
+  match self with
+  | Some w when not t.cfg.worker_domains ->
+    if w < 0 || w >= t.cfg.n_workers then invalid_arg "Server: self";
+    Some t.workers.(w)
+  | Some _ | None -> None
 
-let set_async ?token t ~key ~value =
-  let promise = Promise.create () in
-  (* CREW: the partition owner is the only worker that ever writes it. *)
-  submit_routed t (pick_writer key) (Set (key, value, token, promise));
-  promise
+(* Route + push as one atomic step under [route_lock], so a recovery can
+   never interleave between the routing decision and the push. When the
+   chosen worker is the one the caller drives, the op instead runs to
+   completion right here, after the lock is released. [try_push] maps a
+   closed channel (stop won the race) to [Stopped] rather than a raw
+   [Invalid_argument] escaping from the channel layer. *)
+let submit t ?self pick op =
+  let self = match driven_by t self with Some w -> w.id | None -> -1 in
+  let target =
+    Sync.with_lock t.route_lock (fun () ->
+        if Atomic.get t.stopped then None
+        else
+          let dst = pick t in
+          if Int.equal dst self then Some (`Here dst)
+          else if Channel.try_push t.workers.(dst).channel op then Some (`Queued dst)
+          else None)
+  in
+  match target with
+  | None -> raise Stopped
+  | Some (`Here dst) -> step t t.workers.(dst) op
+  | Some (`Queued dst) -> (Atomic.get t.waker) dst
 
-let delete_async t ~key =
-  let promise = Promise.create () in
-  (* Deletes mutate the partition, so CREW routes them to the owner. *)
-  submit_routed t (pick_writer key) (Delete (key, promise));
-  promise
+(* Reads on a driver run inline: [Store.get] is a seqlock reader, safe on
+   any domain beside the partition's writer, and the arrival count is a
+   lock-free tally — so a driven read takes no [route_lock]. *)
+let get_k ?self t ~key k =
+  match driven_by t self with
+  | Some w ->
+    if Atomic.get t.stopped then raise Stopped;
+    Core.note_arrival t.core;
+    step t w (Get (key, k))
+  | None -> submit t pick_reader (Get (key, k))
 
+(* CREW: the partition owner is the only worker that ever writes it. *)
+let set_k ?self ?token t ~key ~value k =
+  submit t ?self (pick_writer key) (Set (key, value, token, k))
+
+(* Deletes mutate the partition, so CREW routes them to the owner. *)
+let delete_k ?self t ~key k = submit t ?self (pick_writer key) (Delete (key, k))
+
+let promise_k p = function Ok v -> Promise.fulfil p v | Error e -> Promise.fail p e
+
+let async f =
+  let p = Promise.create () in
+  f (promise_k p);
+  p
+
+let get_async t ~key = async (get_k t ~key)
+let set_async ?token t ~key ~value = async (set_k ?token t ~key ~value)
+let delete_async t ~key = async (delete_k t ~key)
 let get t ~key = Promise.await (get_async t ~key)
 let set t ~key ~value = Promise.await (set_async t ~key ~value)
 let delete t ~key = Promise.await (delete_async t ~key)
 
 let inject_crash t ~worker =
   if worker < 0 || worker >= t.cfg.n_workers then invalid_arg "Server.inject_crash";
-  submit_routed t (fun _ -> worker) Crash
+  submit t (fun _ -> worker) Crash
 
 let pause_worker t ~worker =
   if worker < 0 || worker >= t.cfg.n_workers then invalid_arg "Server.pause_worker";
   let entered = Promise.create () in
   let release = Promise.create () in
-  submit_routed t (fun _ -> worker) (Gate (entered, release));
+  submit t (fun _ -> worker) (Gate (entered, release));
   Promise.await entered;
   fun () -> Promise.fulfil release ()
 
@@ -521,48 +589,13 @@ let shed_check t ~now =
   Sync.with_lock t.route_lock (fun () -> Core.shed_check t.core ~now)
 
 let shed_level t = Core.shed_level t.core
-
-(* Apply an op inline — only used by [stop] once every domain is joined,
-   so the single remaining thread trivially satisfies CREW. Mutations
-   are still appended to the WAL (the [Wal.close] that follows fsyncs
-   them), but the acks are fulfilled directly: the sync domain is about
-   to be drained anyway and every promise must resolve before [stop]
-   returns. *)
-let apply_directly t op =
-  let log key op =
-    match t.wal with
-    | None -> ()
-    | Some wal ->
-      ignore (Wal.append wal ~partition:(Store.partition_of_key t.store key) ~op)
-  in
-  match op with
-  | Crash -> ()
-  | Gate (entered, _) ->
-    (* Unblock a waiting [pause_worker]; the release side no longer has
-       a worker to wake. *)
-    if Promise.peek entered = None then Promise.fulfil entered ()
-  | Get (key, p) -> Promise.fulfil p (fst (Store.get t.store ~key))
-  | Delete (key, p) ->
-    let present = Store.remove t.store ~key in
-    log key (Record.Delete { key });
-    Promise.fulfil p present
-  | Set (key, value, None, p) ->
-    Store.set t.store ~key ~value;
-    log key (Record.Set { key; value; token = None });
-    Promise.fulfil p ()
-  | Set (key, value, (Some tok as token), p) ->
-    (match Store.set_idempotent t.store ~key ~value ~token:tok with
-    | `Applied -> log key (Record.Set { key; value; token })
-    | `Duplicate -> ());
-    Promise.fulfil p ()
-
 let is_stopping t = Atomic.get t.stopped
 
-(* Phase 2 of [stop]: with new submissions already rejected, wait for
-   the still-running workers to drain their queued backlogs before any
-   channel is closed. A dead worker's backlog cannot drain (the monitor
-   skips recovery once [stopped] is set), so it is excluded here and
-   applied directly by [stop]'s final sweep. *)
+(* Phase 2 of [stop] for worker domains: with new submissions already
+   rejected, wait for the still-running workers to drain their queued
+   backlogs before any channel is closed. A dead worker's backlog cannot
+   drain (the monitor skips recovery once [stopped] is set), so it is
+   excluded here and applied by [stop]'s final sweep. *)
 let await_backlogs_drained t =
   let drained () =
     Array.for_all
@@ -579,24 +612,31 @@ let stop t =
   Sync.with_lock t.stop_lock (fun () ->
       if not (Atomic.get t.stopped) then begin
         Atomic.set t.stopped true;
-        (* Reject-new is now in force; drain in-flight backlogs while
-           the workers are still up, then tear down. *)
-        await_backlogs_drained t;
+        (* Reject-new is now in force; worker domains drain in-flight
+           backlogs while still up, then tear down. Driven workers have
+           no driver left by contract, so their backlogs all fall to the
+           final sweep. *)
+        if t.cfg.worker_domains then await_backlogs_drained t;
         (* Taking route_lock serialises with any in-flight recovery, so
            the domain handles we join below are final. *)
         Sync.with_lock t.route_lock (fun () ->
             Array.iter (fun w -> Channel.close w.channel) t.workers);
-        Array.iter
-          (fun w -> match w.domain with Some d -> Domain.join d | None -> ())
-          t.workers;
-        (match t.monitor with Some d -> Domain.join d | None -> ());
+        Array.iter (fun w -> Option.iter Domain.join w.domain) t.workers;
+        Option.iter Domain.join t.monitor;
         t.monitor <- None;
-        (* A worker that crashed in the stop window leaves a backlog the
-           monitor never got to requeue. Every promise issued before
-           [stop] must still resolve, so apply the leftovers here. *)
+        (* Every completion issued before [stop] must still run: apply
+           the leftovers here — a worker that crashed in the stop window,
+           or a driven worker's backlog. This is the only thread left, so
+           CREW holds trivially; a crash has no one left to kill and a
+           gate no worker left to park. *)
         Array.iter
           (fun w ->
-            List.iter (apply_directly t)
+            List.iter
+              (function
+                | Crash -> ()
+                | Gate (entered, _) ->
+                  if Promise.peek entered = None then Promise.fulfil entered ()
+                | (Get _ | Set _ | Delete _) as op -> step t w op)
               (Channel.drain_matching w.channel ~f:(fun _ -> true)))
           t.workers;
         (* Durability epilogue: drain the sync domain's pending acks,
@@ -646,6 +686,7 @@ let alive_workers t =
 let partition_of_key t key = Store.partition_of_key t.store key
 let n_partitions t = t.cfg.n_partitions
 let n_workers t = t.cfg.n_workers
+let worker_domains t = t.cfg.worker_domains
 let wal_handle t = t.wal
 
 let ownership_counts t =

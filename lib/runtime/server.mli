@@ -1,4 +1,4 @@
-(** A real, multicore in-process KVS server: worker domains serving the
+(** A real, multicore in-process KVS server: workers serving the
     {!C4_kvs.Store} under the shared d-CREW policy core
     ([C4_crew.Core]), with optional write compaction and crash
     recovery.
@@ -7,17 +7,29 @@
     around the same core the discrete-event model drives: the core
     decides (pins, routes, window opens/closes, shed levels, stale
     evictions), and this driver turns those decisions into mechanism —
-    worker domains, MPSC channels, promises, a crash monitor. The
-    differential parity test replays one recorded trace through both
-    drivers and holds their decision streams equal.
+    per-worker channels, completions, crash recovery. The differential
+    parity test replays one recorded trace through both drivers and
+    holds their decision streams equal.
+
+    Each worker runs ops through one step function, driven one of two
+    ways ({!config.worker_domains}):
+    - {e worker domains} (the default): one domain per worker blocks on
+      its channel — the standalone mode tests, examples and
+      benchmarks use;
+    - {e externally driven}: no worker domains. The caller (the TCP
+      front-end's event loops, loop [i] driving worker [i]) calls
+      {!run_queued} for its worker and passes [~self] on submission, so
+      an op whose worker is the caller's own runs to completion inline,
+      with no cross-domain hop.
 
     - writes are admitted through [Core.admit_write] and routed to the
       partition's pinned owner (CREW), so the store's per-partition
       seqlocks never see two writers — the invariant the NIC enforces
       in C-4;
-    - reads are sprayed across live workers round-robin and run the
-      seqlock's optimistic protocol against concurrent in-place updates;
-    - with compaction enabled (via {!config.crew}), a worker that pops
+    - reads run on the calling driver ([~self]) or are sprayed across
+      live workers round-robin, and run the seqlock's optimistic
+      protocol against concurrent in-place updates;
+    - with compaction enabled (via {!config.crew}), a worker that runs
       a write drains every queued write to the same key from its
       channel (the dependent-write harvest), runs the core's window
       lifecycle (open / absorb / close), applies ONE batched update,
@@ -27,13 +39,14 @@
     - writes may carry an idempotency token: a retried write whose first
       attempt was applied (only the ack was lost) is detected in the
       store and NOT applied twice;
-    - a monitor domain watches for worker death (see {!inject_crash}):
-      on a crash it re-owns the dead worker's partitions on a survivor
-      through [Core.reassign] (which also evicts the dead worker's EWT
-      pins, so no stale pin keeps routing at the corpse), requeues the
-      dead channel's backlog along the new routes, and restarts the
-      worker — no acknowledged write is lost, and the recorded history
-      stays linearizable;
+    - crash recovery (see {!inject_crash}) re-owns the dead worker's
+      partitions on a survivor through [Core.reassign] (which also
+      evicts the dead worker's EWT pins, so no stale pin keeps routing
+      at the corpse) and requeues the dead channel's backlog along the
+      new routes — no acknowledged write is lost, and the recorded
+      history stays linearizable. A monitor domain does this for a dead
+      worker domain and restarts it; a driven worker is recovered
+      inline by its driver;
     - with a WAL configured ({!config.wal}), every mutation is appended
       to its partition's log BEFORE the ack, and the ack is routed
       through the WAL's group-commit machinery ([C4_wal.Wal.commit]) so
@@ -43,7 +56,9 @@
       window). On {!start} the log is replayed into the store before
       any worker exists; tokened records go back through
       [Store.set_idempotent], so client retries still dedup across a
-      restart.
+      restart;
+    - an op whose apply raises (a closed WAL, an I/O error) completes
+      with that exception instead of leaving its caller waiting.
 
     On a many-core machine this is a usable (if minimal) concurrent KVS;
     on a single core it still exercises every synchronisation path via
@@ -67,7 +82,14 @@ type config = {
           here. The EWT capacity is raised to [n_partitions] at start
           if smaller: the runtime's table is bookkeeping, not a scarce
           CAM *)
-  recovery : bool;  (** run the crash-monitor domain (default true) *)
+  worker_domains : bool;
+      (** [true] (default): spawn one domain per worker. [false]: spawn
+          none — the caller drives worker [i] with {!run_queued} and
+          wakes through {!set_waker}; crashes are recovered inline and
+          no monitor runs *)
+  recovery : bool;
+      (** run the crash-monitor domain (default true; worker domains
+          only) *)
   monitor_interval : float;  (** seconds between monitor sweeps *)
   clock : unit -> float;
       (** the time source fed to the policy core, in ns. Defaults to
@@ -95,12 +117,13 @@ type config = {
           across restarts of the same log directory *)
 }
 
-(** 4 workers, {!C4_crew.Config.queued} policy profile (compaction on,
-    effectively unbounded outstanding-write counters — the channels
-    provide the backpressure), recovery on, wall clock. *)
+(** 4 worker domains, {!C4_crew.Config.queued} policy profile
+    (compaction on, effectively unbounded outstanding-write counters —
+    the channels provide the backpressure), recovery on, wall clock. *)
 val default_config : config
 
-(** Start the worker domains (plus the monitor when [recovery]). *)
+(** Start the worker domains (plus the monitor when [recovery]), or
+    none when [worker_domains] is [false]. *)
 val start : config -> t
 
 (** Blocking operations (thread-safe, callable from any domain). *)
@@ -112,19 +135,53 @@ val set : t -> key:int -> value:bytes -> unit
     mutates partition state); [true] if the key was present. *)
 val delete : t -> key:int -> bool
 
-(** Nonblocking variants returning promises. [token] is an idempotency
-    key: two sets carrying the same token apply at most once — pass the
-    same token on a client retry and the duplicate is suppressed. *)
+(** Nonblocking variants returning promises (a promise whose op failed
+    re-raises on await). [token] is an idempotency key: two sets
+    carrying the same token apply at most once — pass the same token on
+    a client retry and the duplicate is suppressed. *)
 val get_async : t -> key:int -> bytes option Promise.t
 
 val set_async : ?token:int -> t -> key:int -> value:bytes -> unit Promise.t
 
 val delete_async : t -> key:int -> bool Promise.t
 
-(** Simulated fail-stop of one worker domain: the worker dies between
+(** {2 Continuation-passing submission}
+
+    The primitive the promise variants adapt. The completion runs
+    exactly once: inline when the op ran on the calling thread, else on
+    the driver that ran it (or on the WAL's sync domain, for
+    fsync-gated acks), so it must be cheap and thread-safe.
+
+    [self] names the worker the calling thread drives; only an
+    externally driven runtime honours it. There, a read runs inline
+    (no routing lock), and a write or delete runs inline when admission
+    routes it to [self]; otherwise the op is queued for its worker and
+    that worker's driver woken. Raises {!Stopped} once {!stop} began. *)
+val get_k : ?self:int -> t -> key:int -> ((bytes option, exn) result -> unit) -> unit
+
+val set_k :
+  ?self:int -> ?token:int -> t -> key:int -> value:bytes -> ((unit, exn) result -> unit) -> unit
+
+val delete_k : ?self:int -> t -> key:int -> ((bool, exn) result -> unit) -> unit
+
+(** {2 External drivers} ([worker_domains = false]) *)
+
+(** Run every op queued for [worker] at entry, on the calling thread,
+    without blocking. Call it only from [worker]'s one driver. Raises
+    [Invalid_argument] on a runtime with worker domains. *)
+val run_queued : t -> worker:int -> unit
+
+(** Install how a submitter wakes worker [w]'s driver after queueing
+    for it (default: no-op). Called on the submitting thread. *)
+val set_waker : t -> (int -> unit) -> unit
+
+(** [config.worker_domains]. *)
+val worker_domains : t -> bool
+
+(** Simulated fail-stop of one worker: the worker dies between
     operations (never mid-write — acks are sent only after the store
-    apply, so acknowledged writes survive by construction) and the
-    monitor recovers as described above. *)
+    apply, so acknowledged writes survive by construction) and is
+    recovered as described above. *)
 val inject_crash : t -> worker:int -> unit
 
 (** Park a worker: the call blocks until the worker has entered the
@@ -132,7 +189,8 @@ val inject_crash : t -> worker:int -> unit
     nothing, so ops submitted to it queue in its channel — the
     deterministic-replay hook the parity test uses to force a harvest
     batch. The caller MUST invoke the release before {!stop} (a parked
-    worker never drains its backlog). *)
+    worker never drains its backlog). On an externally driven runtime
+    the gate parks the driver itself (e.g. a serving loop). *)
 val pause_worker : t -> worker:int -> unit -> unit
 
 (** Run the core's EWT TTL staleness sweep at logical time [now];
@@ -150,7 +208,8 @@ val shed_level : t -> int
 (** Drain queues, join the domains. Two-phase: [stop] first rejects new
     submissions (they raise {!Stopped}), then lets the still-running
     workers drain every queued backlog op before tearing the domains
-    down — so a front-end (e.g. [C4_net.Server]) that flushes its
+    down (an externally driven runtime has its backlogs applied by
+    [stop] itself, so its drivers must have stopped first) — so a front-end (e.g. [C4_net.Server]) that flushes its
     connection backlogs before calling [stop] never has an
     accepted-but-unanswered request dropped. Idempotent, and safe to
     race with in-flight operations: every promise issued before [stop]

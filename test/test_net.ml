@@ -232,9 +232,13 @@ let test_nic_header_interop () =
 
 (* ---------------- loopback integration ---------------- *)
 
+(* Serving runs the runtime without worker domains: the server's event
+   loops drive its workers. *)
+let served cfg = { cfg with Runtime.worker_domains = false }
+
 let with_net ?(runtime_cfg = { Runtime.default_config with Runtime.n_workers = 2 })
     ?(server_cfg = NetServer.default_config) f =
-  let runtime = Runtime.start runtime_cfg in
+  let runtime = Runtime.start (served runtime_cfg) in
   let srv = NetServer.start server_cfg ~runtime in
   let client =
     NetClient.create
@@ -383,7 +387,7 @@ let test_crash_recovery_over_network () =
       done)
 
 let test_graceful_drain () =
-  let runtime = Runtime.start { Runtime.default_config with Runtime.n_workers = 2 } in
+  let runtime = Runtime.start (served { Runtime.default_config with Runtime.n_workers = 2 }) in
   let srv = NetServer.start NetServer.default_config ~runtime in
   let client =
     NetClient.create
@@ -605,7 +609,7 @@ let test_stitched_span_chain () =
                  ~value:(C4_crew.Decision.to_string d)));
     }
   in
-  let runtime = Runtime.start runtime_cfg in
+  let runtime = Runtime.start (served runtime_cfg) in
   let srv =
     NetServer.start
       { NetServer.default_config with NetServer.spans = Some server_buf }
@@ -846,12 +850,13 @@ let test_one_byte_dribble () =
             got))
 
 (* A client that pipelines requests with large responses and never reads
-   must be dropped at the max_pending bound (counted in
-   net.slow_client_drops), with the server still serving everyone
-   else — not buffer the abandoned output without bound. *)
+   must be dropped once its unflushed output passes the byte bound
+   (counted in net.slow_client_drops), with the server still serving
+   everyone else — not buffer the abandoned output without bound. The
+   pending bound only throttles how far ahead of its output the
+   connection is decoded. *)
 let test_slow_client_dropped () =
-  let server_cfg = { NetServer.default_config with NetServer.max_pending = 4 } in
-  with_net ~server_cfg (fun _ srv client ->
+  with_net (fun _ srv client ->
       let key = 9 in
       let big = Bytes.make (512 * 1024) 'x' in
       (match NetClient.set client ~key ~value:big with
@@ -860,16 +865,21 @@ let test_slow_client_dropped () =
       let fd = raw_connect srv in
       Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
         (fun () ->
-          (* 64 pipelined GETs of a 512 KiB value, never reading: the
-             responses cannot fit any socket buffer, so pending must hit
-             the bound. *)
-          for i = 0 to 63 do
-            write_all fd
-              (Wire.encode_request wire
-                 { Wire.id = i; op = Wire.Get; key; token = None;
-                   trace = None; value = Bytes.empty })
-          done;
-          let reg = NetServer.registry srv in
+          (* Pipelined GETs of a 512 KiB value worth twice the bound,
+             never reading: no socket buffer holds the excess, so the
+             unflushed output must pass the bound. The server may drop
+             us while we are still writing: a reset of our own write is
+             fine. *)
+          let n_gets = 2 * C4_net.Evloop.max_unflushed / Bytes.length big in
+          (try
+             for i = 0 to n_gets - 1 do
+               write_all fd
+                 (Wire.encode_request wire
+                    { Wire.id = i; op = Wire.Get; key; token = None;
+                      trace = None; value = Bytes.empty })
+             done
+           with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ());
+      let reg = NetServer.registry srv in
           let drops () = counter_value reg "net.slow_client_drops" in
           let deadline = Unix.gettimeofday () +. 10.0 in
           while drops () = 0 && Unix.gettimeofday () < deadline do
@@ -894,31 +904,157 @@ let test_slow_client_dropped () =
       Alcotest.(check bool) "server still serves" true
         (NetClient.get client ~key = Ok (Some big)))
 
-(* The threads engine stays selectable (and correct) behind the same
-   config — the comparison baseline for the evloop benchmarks. *)
-let test_threads_engine_serves () =
-  let server_cfg =
-    { NetServer.default_config with NetServer.engine = NetServer.Threads }
+(* Run-to-completion hand-offs. On one connection, pipeline a SET whose
+   partition the other loop's worker owns — held back by parking that
+   worker — then a GET and a SET that run inline on this connection's
+   own loop. The inline answers must wait behind the forwarded one:
+   responses leave in request order. *)
+let test_forwarded_write_keeps_order () =
+  with_net (fun runtime srv _ ->
+      (* The first connection lands on loop 0 (round-robin from 0), so
+         loop 0 drives this connection and worker 1 is the other loop. *)
+      let fd = raw_connect srv in
+      let key_of w = List.find (fun k -> Runtime.owner_of_key runtime k = w) (List.init 64 Fun.id) in
+      let other = key_of 1 and own = key_of 0 in
+      let release = Runtime.pause_worker runtime ~worker:1 in
+      let released = ref false in
+      let release () = if not !released then (released := true; release ()) in
+      Fun.protect
+        ~finally:(fun () ->
+          (* A parked loop would hang the server's drain. *)
+          release ();
+          try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          let req i op key value = { Wire.id = i; op; key; token = None; trace = None; value } in
+          List.iter
+            (fun r -> write_all fd (Wire.encode_request wire r))
+            [
+              req 0 Wire.Set other (Bytes.of_string "fwd");
+              req 1 Wire.Get own Bytes.empty;
+              req 2 Wire.Set own (Bytes.of_string "inline");
+            ];
+          (* The inline ops completed long ago, but nothing may leave
+             before the forwarded SET's answer. *)
+          let buf = Bytes.create 4096 in
+          (match Unix.select [ fd ] [] [] 0.2 with
+          | [], _, _ -> ()
+          | _ -> Alcotest.fail "a response overtook the forwarded SET");
+          release ();
+          let dec = Wire.Decoder.create wire in
+          let got = ref [] in
+          let deadline = Unix.gettimeofday () +. 10.0 in
+          while List.length !got < 3 do
+            if Unix.gettimeofday () > deadline then Alcotest.fail "timed out";
+            let n = Unix.read fd buf 0 (Bytes.length buf) in
+            if n = 0 then Alcotest.fail "server closed";
+            Wire.Decoder.feed dec buf ~off:0 ~len:n;
+            let rec drain () =
+              match Wire.Decoder.next_frame dec with
+              | `Frame body -> (
+                match Wire.decode_response wire body with
+                | Ok r -> got := r :: !got; drain ()
+                | Error e -> Alcotest.failf "bad response: %s" e)
+              | `Awaiting -> ()
+              | `Corrupt e -> Alcotest.failf "corrupt: %s" e
+            in
+            drain ()
+          done;
+          Alcotest.(check (list int)) "responses in request order" [ 0; 1; 2 ]
+            (List.rev_map (fun r -> r.Wire.resp_id) !got)))
+
+(* A caller that is not a loop (replica apply, tests) queues for the
+   owner's loop and wakes it: 200 sequential round trips finish at wake
+   latency, where waiting on the 250 ms poll timeout would take 50 s. *)
+let test_non_loop_submit_wakes_owner () =
+  with_net (fun runtime _ _ ->
+      let t0 = Unix.gettimeofday () in
+      for key = 0 to 199 do
+        C4_runtime.Promise.await
+          (Runtime.set_async runtime ~key ~value:(Bytes.of_string "x"))
+      done;
+      let dt = Unix.gettimeofday () -. t0 in
+      Alcotest.(check bool) (Printf.sprintf "200 sets in %.3f s < 1 s" dt) true (dt < 1.0);
+      Alcotest.(check (option string)) "applied" (Some "x")
+        (Option.map Bytes.to_string (Runtime.get runtime ~key:199)))
+
+(* Threads created on a loop's domain share its domain-local state, but
+   are not the loop: a completion from one of them must wake the loop
+   (blocked in poll). 10 sequential round trips answered by such a
+   thread finish at wake latency, where waiting on the 250 ms poll
+   timeout would take 2.5 s. *)
+let test_loop_domain_thread_wakes_loop () =
+  let handle ~loop:_ (req : Wire.request) reply =
+    (* Runs on the loop's domain, so the thread is created there too. *)
+    ignore
+      (Thread.create
+         (fun () ->
+           Unix.sleepf 0.005;
+           reply
+             { Wire.resp_id = req.Wire.id; status = Wire.Ok; timing_ns = 0;
+               resp_value = Bytes.empty }
+             ~written:ignore)
+         ())
   in
-  with_net ~server_cfg (fun _ _ client ->
-      Alcotest.(check bool) "set" true
-        (NetClient.set client ~key:3 ~value:(Bytes.of_string "thr") = Ok ());
-      Alcotest.(check bool) "get back" true
-        (NetClient.get client ~key:3 = Ok (Some (Bytes.of_string "thr")));
-      let n = 100 in
-      let order = ref [] in
-      let lock = Mutex.create () in
-      let remaining = Atomic.make n in
+  let cb =
+    { C4_net.Evloop.handle; on_bytes_in = ignore; on_bytes_out = ignore;
+      on_protocol_error = ignore; on_closed = ignore }
+  in
+  let ev =
+    C4_net.Evloop.create ~wire ~loops:1 ~max_pending:16 ~on_slow_drop:ignore
+      ~drive:ignore ()
+  in
+  let mine, theirs = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  C4_net.Evloop.add ev ~fd:theirs cb;
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close mine with Unix.Unix_error _ -> ());
+      C4_net.Evloop.stop ev)
+    (fun () ->
+      let dec = Wire.Decoder.create wire in
+      let buf = Bytes.create 4096 in
+      let t0 = Unix.gettimeofday () in
+      for i = 0 to 9 do
+        write_all mine
+          (Wire.encode_request wire
+             { Wire.id = i; op = Wire.Get; key = i; token = None; trace = None;
+               value = Bytes.empty });
+        let rec await () =
+          match Wire.Decoder.next_frame dec with
+          | `Frame body -> (
+            match Wire.decode_response wire body with
+            | Ok r -> Alcotest.(check int) "response id" i r.Wire.resp_id
+            | Error e -> Alcotest.failf "bad response: %s" e)
+          | `Corrupt e -> Alcotest.failf "corrupt: %s" e
+          | `Awaiting ->
+            (match Unix.select [ mine ] [] [] 5.0 with
+            | [], _, _ -> Alcotest.fail "timed out"
+            | _ -> ());
+            let n = Unix.read mine buf 0 (Bytes.length buf) in
+            if n = 0 then Alcotest.fail "loop closed the connection";
+            Wire.Decoder.feed dec buf ~off:0 ~len:n;
+            await ()
+        in
+        await ()
+      done;
+      let dt = Unix.gettimeofday () -. t0 in
+      Alcotest.(check bool) (Printf.sprintf "10 round trips in %.3f s < 1 s" dt) true
+        (dt < 1.0))
+
+(* Past the pending bound a connection is throttled, not dropped: a
+   client pipelining far more than [max_pending] requests, and reading
+   its answers, gets every one of them in order. *)
+let test_pending_bound_backpressures () =
+  let server_cfg = { NetServer.default_config with NetServer.max_pending = 4 } in
+  with_net ~server_cfg (fun _ srv client ->
+      let n = 300 in
+      let order = ref [] and lock = Mutex.create () and remaining = Atomic.make n in
       let dispatched =
         List.init n (fun i ->
             let op = if i mod 2 = 0 then Wire.Set else Wire.Get in
-            let value =
-              if op = Wire.Set then Bytes.of_string "v" else Bytes.empty
-            in
-            NetClient.dispatch client ~op ~key:7 ~value
+            let value = if op = Wire.Set then Bytes.of_string "v" else Bytes.empty in
+            NetClient.dispatch client ~op ~key:(i mod 17) ~value
               ~on_response:(fun r ->
-                C4_runtime.Sync.with_lock lock (fun () ->
-                    order := r.Wire.resp_id :: !order);
+                C4_runtime.Sync.with_lock lock (fun () -> order := r.Wire.resp_id :: !order);
                 Atomic.decr remaining)
               ())
       in
@@ -927,8 +1063,10 @@ let test_threads_engine_serves () =
         Unix.sleepf 0.001
       done;
       Alcotest.(check int) "all answered" 0 (Atomic.get remaining);
-      Alcotest.(check (list int)) "responses in dispatch order" dispatched
-        (List.rev !order))
+      Alcotest.(check (list int)) "in dispatch order" dispatched (List.rev !order);
+      let st = NetServer.stats srv in
+      Alcotest.(check int) "no drops" 0 st.NetServer.slow_client_drops;
+      Alcotest.(check int) "no protocol errors" 0 st.NetServer.protocol_errors)
 
 let tests =
   [
@@ -963,6 +1101,12 @@ let tests =
       test_one_byte_dribble;
     Alcotest.test_case "slow client dropped at the pending bound" `Quick
       test_slow_client_dropped;
-    Alcotest.test_case "threads engine stays selectable" `Quick
-      test_threads_engine_serves;
+    Alcotest.test_case "forwarded write keeps response order" `Quick
+      test_forwarded_write_keeps_order;
+    Alcotest.test_case "non-loop submit wakes the owner loop" `Quick
+      test_non_loop_submit_wakes_owner;
+    Alcotest.test_case "pending bound backpressures, never drops" `Quick
+      test_pending_bound_backpressures;
+    Alcotest.test_case "loop-domain thread completion wakes the loop" `Quick
+      test_loop_domain_thread_wakes_loop;
   ]

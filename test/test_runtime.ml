@@ -466,11 +466,36 @@ let test_server_real_history_linearizable () =
         Alcotest.failf "real execution not linearizable:@.%a" History.pp
           (History.of_ops history))
 
+(* ---------------- counters bumped from many domains ---------------- *)
+
+(* Reads run on every serving domain, so the store's read counters and
+   a bare tally must count exactly under concurrent bumps. *)
+let test_counters_exact_across_domains () =
+  let module Store = C4_kvs.Store in
+  let module Tally = C4_obs.Tally in
+  let store = Store.create ~n_buckets:64 ~n_partitions:8 () in
+  Store.set store ~key:1 ~value:(Bytes.of_string "v");
+  let tally = Tally.create () in
+  let per_domain = 20_000 and domains = 4 in
+  let ds =
+    List.init domains (fun _ ->
+        Domain.spawn (fun () ->
+            for _ = 1 to per_domain do
+              Tally.incr tally;
+              ignore (Store.get store ~key:1)
+            done))
+  in
+  List.iter Domain.join ds;
+  Alcotest.(check int) "tally" (domains * per_domain) (Tally.get tally);
+  Alcotest.(check int) "store reads" (domains * per_domain) (Store.stats store).Store.reads
+
 let tests =
   [
     Alcotest.test_case "promise fulfil/await" `Quick test_promise_basic;
     Alcotest.test_case "promise rejects double fulfil" `Quick test_promise_double_fulfil;
     Alcotest.test_case "promise crosses domains" `Quick test_promise_cross_domain;
+    Alcotest.test_case "counters exact across domains" `Quick
+      test_counters_exact_across_domains;
     Alcotest.test_case "channel FIFO" `Quick test_channel_fifo;
     Alcotest.test_case "channel close semantics" `Quick test_channel_close_semantics;
     Alcotest.test_case "channel drain_matching" `Quick test_channel_drain_matching;

@@ -27,12 +27,13 @@ let fixture_cmts =
     "fixtures/fix_worker_block.cmt";
     "fixtures/fix_escape.cmt";
     "fixtures/fix_crew_impure.cmt";
+    "fixtures/fix_lazy.cmt";
   ]
 
 let fixture_violations =
   lazy
     (let units = Staticcheck.load_units fixture_cmts in
-     assert (List.length units = 4);
+     assert (List.length units = 5);
      Rules.run
        ~is_crew_core:(fun uf -> uf.F.uf_unit = "Fix_crew_impure")
        units)
@@ -99,6 +100,17 @@ let test_fixture_mutable_escape () =
     (List.exists (fun v -> contains ~needle:"field count" v.Lint.message) vs
     && List.exists (fun v -> contains ~needle:"ref total" v.Lint.message) vs)
 
+let test_fixture_toplevel_lazy () =
+  let vs =
+    find_all ~rule:"top-level-lazy" ~file:"fix_lazy.ml" (Lazy.force fixture_violations)
+  in
+  (* The module-level and submodule-level lazies; not the one a
+     function builds per call. *)
+  Alcotest.(check (list int)) "lines of the two top-level lazies" [ 4; 9 ]
+    (List.sort compare (List.map (fun v -> v.Lint.line) vs));
+  Alcotest.(check bool) "names the binding" true
+    (List.exists (fun v -> contains ~needle:"Fix_lazy.M.nested" v.Lint.message) vs)
+
 let test_fixture_no_cross_talk () =
   (* The pure-by-construction fixtures must not trip the purity rule,
      and the lock fixtures must not produce blocking findings. *)
@@ -130,7 +142,7 @@ let mk_func ~name ?(line = 1) ?(calls = []) ?(acquires = []) () =
   }
 
 let mk_unit funcs =
-  { F.uf_unit = "T"; uf_source = "t.ml"; uf_funcs = funcs; uf_aliases = [] }
+  { F.uf_unit = "T"; uf_source = "t.ml"; uf_funcs = funcs; uf_aliases = []; uf_lazies = [] }
 
 let graph_of funcs = Lockgraph.build (Callgraph.build [ mk_unit funcs ])
 
@@ -302,6 +314,7 @@ let tests =
     Alcotest.test_case "fixture: crew-core-purity" `Quick test_fixture_crew_purity;
     Alcotest.test_case "fixture: shared-mutable-escape" `Quick
       test_fixture_mutable_escape;
+    Alcotest.test_case "fixture: top-level-lazy" `Quick test_fixture_toplevel_lazy;
     Alcotest.test_case "fixture: no cross-talk" `Quick test_fixture_no_cross_talk;
     Alcotest.test_case "lockgraph: two-lock cycle" `Quick
       test_lockgraph_two_lock_cycle;

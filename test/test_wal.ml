@@ -424,6 +424,24 @@ let test_runtime_compaction_batch_replay () =
   Server.stop t2;
   rm_rf dir
 
+(* An apply that raises must fail its caller, never strand it: with the
+   runtime's WAL closed under it, the next set's append raises, and the
+   set must surface that instead of hanging on a worker that died
+   silently. Twice, so the worker is shown to survive the failure. *)
+let test_runtime_closed_wal_fails_set () =
+  let dir = fresh_dir () in
+  let t = Server.start (server_config ~dir ~fsync:Wal.Window) in
+  Server.set t ~key:1 ~value:(Bytes.of_string "before");
+  Wal.close (Option.get (Server.wal_handle t));
+  for i = 1 to 2 do
+    match Server.set t ~key:1 ~value:(Bytes.of_string "after") with
+    | () -> Alcotest.failf "set %d on a closed WAL succeeded" i
+    | exception Invalid_argument _ -> ()
+  done;
+  Alcotest.(check int) "no worker died" 2 (Server.alive_workers t);
+  Server.stop t;
+  rm_rf dir
+
 let test_runtime_clean_shutdown_no_torn_tail () =
   let dir = fresh_dir () in
   let cfg = server_config ~dir ~fsync:Wal.Always in
@@ -483,5 +501,7 @@ let tests =
     Alcotest.test_case "token dedup survives restart" `Quick test_runtime_token_dedup_across_restart;
     Alcotest.test_case "compaction batches replay to the final value" `Quick test_runtime_compaction_batch_replay;
     Alcotest.test_case "clean shutdown leaves no torn tail" `Quick test_runtime_clean_shutdown_no_torn_tail;
+    Alcotest.test_case "closed WAL fails a set, never hangs it" `Quick
+      test_runtime_closed_wal_fails_set;
     Alcotest.test_case "kill -9 chaos harness passes" `Slow test_kill_chaos;
   ]
