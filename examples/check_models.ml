@@ -1,5 +1,6 @@
 (* Exhaustively explore every protocol model (seqlock, EWT, flow
-   control, channel, promise, compaction window) plus their seeded-bug
+   control, channel, promise, crew core, dynamic pinning, compaction
+   window) plus their seeded-bug
    variants, and replay one counterexample end-to-end through the
    linearizability checker. This is the quick "is the correctness
    tooling alive" demo; the full assertions live in test/test_check.ml. *)
@@ -36,6 +37,7 @@ let () =
       Models.channel ();
       Models.promise ();
       Models.crew_core ();
+      Models.crew_dynamic_pin ();
       fst (Models.compaction ());
     ];
   List.iter
@@ -49,6 +51,8 @@ let () =
       Models.channel ~broken:Models.Pop_ignores_close ();
       Models.promise ~broken:Models.Two_resolvers ();
       Models.crew_core ~broken:Models.Strict_release ();
+      Models.crew_dynamic_pin ~broken:Models.Reject_to_fixed_owner ();
+      Models.crew_dynamic_pin ~broken:Models.Reject_to_pin ();
     ];
   (* Counterexample -> replay -> linearizability checker, end to end. *)
   let packed, history = Models.compaction ~broken:Models.Early_ack () in

@@ -755,6 +755,145 @@ let crew_core ?broken () =
             | Some _ -> Ok ());
     }
 
+(* ---------------- d-CREW dynamic pinning (runtime serving) ---------------- *)
+
+(* The serving runtime's write admission, run through the real
+   [Core.admit_write]: each event loop admits with [`Worker self], so an
+   unpinned partition is pinned by the loop that decoded the write and a
+   write to a pinned partition goes to the pin's worker; the release is
+   the runtime's [write_done ~strict:false]. Two loops write one
+   partition while a releaser retires routed writes in order. Every
+   routed write is tracked with the worker that runs it and whether
+   admission credited it. *)
+
+type pin_broken = Reject_to_fixed_owner | Reject_to_pin
+
+type routed_write = { rw_worker : int; rw_credited : bool }
+
+type pin_state = {
+  pin_core : Crew_core.t;
+  mutable pin_now : float;
+  mutable pin_running : routed_write list; (* routed, unreleased, in order *)
+  mutable pin_loops_done : int;
+}
+
+let pin_partition = 0
+
+let pin_loop ~worker ~writes broken =
+  let rec go i =
+    Sched.step ~touches:[ "core" ]
+      (Printf.sprintf "w%d admit/%d" worker i)
+      (fun st ->
+        st.pin_now <- st.pin_now +. 0.1;
+        let route =
+          match
+            Crew_core.admit_write st.pin_core ~charge:false ~partition:pin_partition
+              ~now:st.pin_now ~pick:(`Worker worker)
+          with
+          | Crew_core.Admitted { worker; _ } ->
+            { rw_worker = worker; rw_credited = true }
+          | Crew_core.No_slot -> failwith "a [`Worker] pick found no slot"
+          | Crew_core.Rejected { owner; _ } -> (
+            (* The runtime's table never refuses; the seeded variants
+               show why: a refused write holds no credit wherever it
+               runs. *)
+            match (broken, owner) with
+            | Some Reject_to_fixed_owner, _ ->
+              {
+                rw_worker =
+                  Crew_core.assigned_owner st.pin_core ~partition:pin_partition;
+                rw_credited = false;
+              }
+            | Some Reject_to_pin, Some o -> { rw_worker = o; rw_credited = false }
+            | (None | Some Reject_to_pin), _ -> failwith "the EWT refused a write")
+        in
+        st.pin_running <- st.pin_running @ [ route ];
+        if i + 1 < writes then Sched.Continue (go (i + 1))
+        else begin
+          st.pin_loops_done <- st.pin_loops_done + 1;
+          Sched.stop
+        end)
+  in
+  go 0
+
+let pin_releaser () =
+  let rec release () =
+    Sched.step ~touches:[ "core" ] "release"
+      ~enabled:(fun st -> st.pin_running <> [] || st.pin_loops_done = 2)
+      (fun st ->
+        match st.pin_running with
+        | [] -> Sched.stop
+        | _ :: rest ->
+          st.pin_running <- rest;
+          Crew_core.write_done ~strict:false st.pin_core ~partition:pin_partition;
+          Sched.Continue (release ()))
+  in
+  release ()
+
+let crew_dynamic_pin ?broken () =
+  (* The seeded variants let the table refuse (a saturating counter of
+     one, the NIC's regime); the runtime's never does. *)
+  let max_outstanding = if broken = None then max_int else 1 in
+  Pack
+    {
+      Sched.model_name =
+        (match broken with
+        | None -> "crew-dynamic-pin"
+        | Some Reject_to_fixed_owner -> "crew-dynamic-pin/reject-to-fixed-owner"
+        | Some Reject_to_pin -> "crew-dynamic-pin/reject-to-pin");
+      init =
+        (fun () ->
+          {
+            pin_core =
+              Crew_core.create
+                ~cfg:
+                  {
+                    Crew_config.queued with
+                    Crew_config.ewt_max_outstanding = max_outstanding;
+                    compaction = None;
+                  }
+                ~n_workers:2 ~n_partitions:1 ();
+            pin_now = 0.0;
+            pin_running = [];
+            pin_loops_done = 0;
+          });
+      threads =
+        [
+          { Sched.name = "loop0"; entry = pin_loop ~worker:0 ~writes:2 broken };
+          { Sched.name = "loop1"; entry = pin_loop ~worker:1 ~writes:2 broken };
+          { Sched.name = "releaser"; entry = pin_releaser () };
+        ];
+      invariant =
+        (fun st ->
+          let workers =
+            List.sort_uniq Int.compare (List.map (fun w -> w.rw_worker) st.pin_running)
+          in
+          let credited =
+            List.length (List.filter (fun w -> w.rw_credited) st.pin_running)
+          in
+          let outstanding =
+            Crew_core.ewt_outstanding st.pin_core ~partition:pin_partition
+          in
+          match workers with
+          | _ :: _ :: _ ->
+            Error
+              (Printf.sprintf
+                 "two writers: workers {%s} hold outstanding writes on one partition"
+                 (String.concat "," (List.map string_of_int workers)))
+          | [ w ] when Crew_core.route_owner st.pin_core ~partition:pin_partition <> w ->
+            Error (Printf.sprintf "worker %d writes a partition pinned elsewhere" w)
+          | _ when outstanding <> credited ->
+            Error
+              (Printf.sprintf "credits: core counts %d outstanding, %d credited writes run"
+                 outstanding credited)
+          | _ -> Ok ());
+      final =
+        (fun st ->
+          if st.pin_running <> [] then Error "writes never released"
+          else if Crew_core.ewt_occupancy st.pin_core <> 0 then Error "pin leaked"
+          else Ok ());
+    }
+
 (* ---------------- Compaction window ---------------- *)
 
 type compaction_broken = Early_ack

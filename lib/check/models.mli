@@ -20,6 +20,9 @@
       CREW routing stability, occupancy/credit conservation and
       close-answers-exactly-the-absorbed-writes asserted in every
       interleaving.
+    - {!crew_dynamic_pin}: the serving runtime's dynamic pin hand-off
+      between event loops, through the same core: one writer per
+      partition at any moment.
     - {!compaction}: deferred responses only after the window closes;
       every schedule's recorded history is fed to the
       [C4_consistency.Linearizability] checker.
@@ -67,6 +70,27 @@ type crew_broken =
           configured: a sweep racing the release makes it raise *)
 
 val crew_core : ?broken:crew_broken -> unit -> packed
+
+type pin_broken =
+  | Reject_to_fixed_owner
+      (** the EWT may refuse (a saturating counter) and a refused write
+          runs on its partition's fixed owner: under dynamic pins the
+          pin may sit elsewhere — two writers *)
+  | Reject_to_pin
+      (** a refused write runs on the pinned worker without a credit:
+          once the pin's counted writes release, a second writer can be
+          pinned while it still waits *)
+
+(** Dynamic d-CREW pinning as the serving runtime admits writes: two
+    event loops admit writes to one partition with [`Worker self] (an
+    unpinned partition pins at the decoding loop, a pinned one routes
+    to the pin), a releaser retires them, all through the real
+    [C4_crew.Core]. Asserted in every interleaving: at most one worker
+    holds outstanding writes on the partition, it is the one the core
+    routes to, and the core's outstanding count equals the credited
+    writes in flight. The correct variant's table never refuses, like
+    the runtime's. *)
+val crew_dynamic_pin : ?broken:pin_broken -> unit -> packed
 
 type compaction_broken =
   | Early_ack  (** acknowledge at enqueue instead of window close *)

@@ -101,10 +101,14 @@ let reassign t ~from_worker ~to_worker =
   if from_worker = to_worker then 0
   else begin
   (* Transient pins first: a pin left pointing at the dead worker would
-     keep routing writes onto its channel after the durable map moved. *)
+     keep routing writes onto its channel after the durable map moved.
+     They move with their counts rather than being evicted: the writes
+     they count (queued, or applied and awaiting their ack) keep their
+     partition at one worker until released, so admission cannot pin a
+     second writer beside them. *)
   List.iter
-    (fun partition -> emit t t.unpin_c (Decision.Unpin { partition }))
-    (Ewt.evict_thread t.ewt ~thread:from_worker);
+    (fun partition -> emit t t.pin_c (Decision.Pin { partition; worker = to_worker }))
+    (Ewt.move_thread t.ewt ~from_thread:from_worker ~to_thread:to_worker);
   let moved = ref 0 in
   Array.iteri
     (fun partition owner ->
@@ -135,10 +139,10 @@ type admit =
   | No_slot
   | Rejected of { reason : Decision.reject_reason; owner : int option }
 
-let admit_write t ~partition ~now ~pick =
-  (* JBSQ occupancy is the NIC's queue accounting; a [`Static] engine
-     (the runtime) accounts for its own channels instead. *)
-  let charge = pick <> `Static in
+let admit_write ?charge t ~partition ~now ~pick =
+  (* JBSQ occupancy is the NIC's queue accounting; an engine with its
+     own queues (the runtime's channels) admits with [~charge:false]. *)
+  let charge = match charge with Some c -> c | None -> pick <> `Static in
   match Ewt.lookup t.ewt ~partition with
   | Some owner -> (
     match Ewt.note_write ~now t.ewt ~partition ~thread:owner with

@@ -109,10 +109,12 @@ val ownership_counts : t -> int array
     through. *)
 val route_owner : t -> partition:int -> int
 
-(** Move every durable assignment (and evict every EWT pin) of
-    [from_worker] to [to_worker], emitting one [Remap] per moved
-    partition; returns how many moved. Crash recovery. No-op when
-    [from_worker = to_worker] (sole-survivor recovery). *)
+(** Move every durable assignment and every EWT pin of [from_worker] to
+    [to_worker], emitting one [Pin] per moved pin (which keeps its
+    outstanding count, so the writes it counts still hold their
+    partition) and then one [Remap] per moved durable partition;
+    returns how many durable partitions moved. Crash recovery. No-op
+    when [from_worker = to_worker] (sole-survivor recovery). *)
 val reassign : t -> from_worker:int -> to_worker:int -> int
 
 (** The static hash fallback for unowned writes confined to the worker
@@ -139,9 +141,12 @@ val occupancy : t -> worker:int -> int
     (or the static hash, per {!Config.pin_fallback}), [`Worker w] pins
     to a given worker (central-queue hand-out), [`Static] uses the
     durable assignment — and install the pin. JBSQ occupancy is charged
-    for every admission except [`Static] picks, whose engine owns its
-    own queue accounting (the runtime's channels). *)
+    when [charge] holds (a JBSQ pick under [Balanced] fallback always
+    charges the slot it picked), by default for every admission except
+    [`Static] picks; an engine that owns its own queue accounting (the
+    runtime's channels) passes [~charge:false]. *)
 val admit_write :
+  ?charge:bool ->
   t ->
   partition:int ->
   now:float ->

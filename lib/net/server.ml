@@ -92,14 +92,12 @@ let metrics_of reg ~n_workers =
     slow_client_drops_c = Registry.counter reg "net.slow_client_drops";
   }
 
-(* Count each mutation against the worker the policy core's ownership
-   view routes it to ([Runtime.owner_of_key] = the core's pin-aware
-   [route_owner]). After a crash recovery the remap changes what
-   [owner_of_key] returns, so the counts visibly migrate to the
-   survivor while the dead worker's counter freezes. *)
-let note_routed t key =
-  let owner = Runtime.owner_of_key t.runtime key in
-  Registry.incr t.m.routed_c.(owner)
+(* Count each mutation against the worker its admission chose — the one
+   that runs it: this loop's own worker for a write to an unpinned
+   partition, the pinned worker for a dependent write. After a crash
+   recovery hands a worker's pins and partitions to a survivor, writes
+   forwarded there count on the survivor. *)
+let routed t worker = Registry.incr t.m.routed_c.(worker)
 
 let op_name = function
   | Wire.Get -> "GET"
@@ -241,19 +239,19 @@ let handle t ~loop (req : Wire.request) reply =
               | Some cl, Ok _ -> cl.cl_read_fence ~key:req.Wire.key (fun () -> answer r)
               | _ -> answer r))
     | Wire.Set ->
-      note_routed t req.Wire.key;
       submit t.m.set_h (fun () ->
-          Runtime.set_k ~self:loop ?token:req.Wire.token t.runtime ~key:req.Wire.key
-            ~value:req.Wire.value (function
-            | Ok () -> respond t.m.set_h Wire.Ok Bytes.empty
-            | Error e -> failed t.m.set_h e))
+          routed t
+            (Runtime.set_k ~self:loop ?token:req.Wire.token t.runtime ~key:req.Wire.key
+               ~value:req.Wire.value (function
+               | Ok () -> respond t.m.set_h Wire.Ok Bytes.empty
+               | Error e -> failed t.m.set_h e)))
     | Wire.Delete ->
-      note_routed t req.Wire.key;
       submit t.m.delete_h (fun () ->
-          Runtime.delete_k ~self:loop t.runtime ~key:req.Wire.key (function
-            | Ok present ->
-              respond t.m.delete_h (if present then Wire.Ok else Wire.Not_found) Bytes.empty
-            | Error e -> failed t.m.delete_h e)))
+          routed t
+            (Runtime.delete_k ~self:loop t.runtime ~key:req.Wire.key (function
+              | Ok present ->
+                respond t.m.delete_h (if present then Wire.Ok else Wire.Not_found) Bytes.empty
+              | Error e -> failed t.m.delete_h e))))
 
 (* The connection callbacks, one record shared by every connection. *)
 let callbacks t =

@@ -49,13 +49,14 @@
     {!Evloop.max_unflushed} bytes), and per-op
     service-time histograms [net.get_ns],
     [net.set_ns], [net.delete_ns]. Each mutation additionally bumps a
-    [net.routed_w<i>] counter for the worker the d-CREW policy core's
-    ownership view ([C4_runtime.Server.owner_of_key], i.e.
-    [C4_crew.Core.route_owner]) routes it to. One counter per worker is
-    registered eagerly at start, so a telemetry scrape sees every owner
-    from the first request and a count can never land on a dangling
-    worker id — after a crash recovery the counts visibly migrate to
-    the surviving owner while the dead worker's counter freezes.
+    [net.routed_w<i>] counter for the worker its d-CREW admission
+    chose, the one that ran it: the decoding loop's own worker for a
+    write to an unpinned partition, the pinned worker for a write that
+    depends on one still outstanding. The counts therefore sum to the
+    mutations served and show how much write work was forwarded. One
+    counter per worker is registered eagerly at start, so a telemetry
+    scrape sees every worker from the first request and a count can
+    never land on a dangling worker id.
 
     Tracing: with {!config.spans} set, a request that arrives carrying
     a {!Wire.trace_context} grows a three-span chain in the buffer —

@@ -1,6 +1,6 @@
 module Registry = C4_obs.Registry
 
-type entry = { thread : int; mutable count : int; mutable last_write : float }
+type entry = { mutable thread : int; mutable count : int; mutable last_write : float }
 
 type t = {
   cap : int;
@@ -132,20 +132,16 @@ let expire_stale_partitions t ~now ~ttl =
 
 let expire_stale t ~now ~ttl = List.length (expire_stale_partitions t ~now ~ttl)
 
-let evict_thread t ~thread =
-  let owned =
-    Hashtbl.fold
-      (fun partition e acc -> if e.thread = thread then partition :: acc else acc)
-      t.table []
-  in
-  let owned = List.sort compare owned in
-  List.iter
-    (fun partition ->
-      Hashtbl.remove t.table partition;
-      Registry.incr t.evict_c;
-      sample t)
-    owned;
-  owned
+let move_thread t ~from_thread ~to_thread =
+  Hashtbl.fold
+    (fun partition e acc ->
+      if e.thread = from_thread then begin
+        e.thread <- to_thread;
+        partition :: acc
+      end
+      else acc)
+    t.table []
+  |> List.sort Int.compare
 
 let stale_evictions t = Registry.counter_value t.stale_evict_c
 let orphan_releases t = Registry.counter_value t.orphan_release_c

@@ -71,11 +71,13 @@ val expire_stale : t -> now:float -> ttl:float -> int
     the count. *)
 val expire_stale_partitions : t -> now:float -> ttl:float -> int list
 
-(** Evict every entry pinned to [thread] (ascending partition order,
-    each counted as [ewt.evict]). Crash recovery uses this: a dead
-    worker's pins must not keep routing writes to its channel once its
-    partitions are re-owned elsewhere. *)
-val evict_thread : t -> thread:int -> int list
+(** Re-pin every entry pinned to [from_thread] on [to_thread], keeping
+    its outstanding count; returns the moved partitions (ascending).
+    Crash recovery uses this: a dead worker's pins must not keep routing
+    writes to its channel once its partitions are re-owned elsewhere,
+    yet the writes they count still hold their partitions — now at
+    [to_thread] — and their releases still find the entry. *)
+val move_thread : t -> from_thread:int -> to_thread:int -> int list
 
 (** Total stale evictions / orphan releases so far. *)
 val stale_evictions : t -> int

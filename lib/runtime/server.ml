@@ -78,7 +78,7 @@ let default_config =
 (* The multicore driver around the crew policy core (the runtime's half
    of the {!C4_crew.Core.ENGINE} contract): the core decides, drivers
    and channels execute. All core transitions that touch shared routing
-   state (admission, releases, sweeps, recovery remaps) run under
+   state (admission, releases, recovery remaps) run under
    [route_lock]; per-worker window transitions are worker-private and
    rely on the thread-safe registry for their counters. *)
 type t = {
@@ -114,9 +114,12 @@ let owner_of_key t key =
   Sync.with_lock t.route_lock (fun () ->
       Core.route_owner t.core ~partition:(Store.partition_of_key t.store key))
 
-(* The write's response left: hand the release to the policy core.
-   Non-strict because a TTL sweep (or a recovery eviction) may have
-   legitimately reclaimed the pin — the core counts the orphan. *)
+(* The write's response left: hand the release to the policy core; the
+   partition's last release unpins it. Every write holds its pin until
+   here (nothing sweeps the runtime's pins, and recovery moves them
+   rather than evicting), so a missing pin would be a protocol bug; it
+   is counted as an orphan ([~strict:false]) rather than allowed to
+   kill the driver. *)
 let release_write t key =
   Sync.with_lock t.route_lock (fun () ->
       Core.write_done ~strict:false t.core
@@ -249,13 +252,14 @@ let wake_all t = Array.iter (fun w -> (Atomic.get t.waker) w.id) t.workers
 (* ---------------- crash recovery ---------------- *)
 
 (* Called with [route_lock] HELD and producers therefore blocked, once
-   the dead worker provably runs no more store operations. Remap its
-   partitions to a survivor through the core (which also evicts the
-   dead worker's EWT pins — a stale pin would keep routing writes at the
-   corpse's channel), then requeue its backlog along the new routes.
-   Ownership stays with the survivor — handing partitions back would
-   reopen the stale-route window; the restarted worker rejoins as read
-   capacity and as a future failover target. *)
+   the dead worker provably runs no more store operations. Move its EWT
+   pins (with their counts) and durable partitions to a survivor
+   through the core, then requeue its backlog on the survivor: every
+   queued write is counted by a pin that now lives there, so no second
+   writer can be pinned beside it. Ownership stays with the
+   survivor — handing partitions back would reopen the stale-route
+   window; the restarted worker rejoins as read capacity and as a
+   future failover target. *)
 let remap_locked t (w : worker_state) =
   let survivor =
     let rec find i =
@@ -267,20 +271,13 @@ let remap_locked t (w : worker_state) =
   in
   ignore (Core.reassign t.core ~from_worker:w.id ~to_worker:survivor);
   List.iter
-    (fun op ->
-      match op with
+    (function
       | Crash ->
         (* A queued crash targeted the worker that already died; do not
            let it chase the backlog onto the survivor. *)
         ()
-      | Get _ | Gate _ ->
+      | (Get _ | Gate _ | Set _ | Delete _) as op ->
         ignore (Channel.try_push t.workers.(survivor).channel op);
-        t.requeued_n <- t.requeued_n + 1
-      | Set (key, _, _, _) | Delete (key, _) ->
-        let dst =
-          Core.route_owner t.core ~partition:(Store.partition_of_key t.store key)
-        in
-        ignore (Channel.try_push t.workers.(dst).channel op);
         t.requeued_n <- t.requeued_n + 1)
     (Channel.drain_matching w.channel ~f:(fun _ -> true));
   t.recoveries_n <- t.recoveries_n + 1
@@ -438,14 +435,16 @@ let start cfg =
           dups = 0;
         })
   in
-  (* The model's EWT is a scarce CAM; the runtime's is bookkeeping, so
-     size it to hold every partition — a capacity reject here would
-     only degrade the decision stream, never protect hardware. *)
+  (* The model's EWT is a scarce CAM; the runtime's is bookkeeping (its
+     channels hold the backlog), so size it to never refuse: a slot for
+     every partition and an unbounded counter. A refused write could
+     run nowhere safely — see [pick_writer]. *)
   let crew_cfg =
     {
       cfg.crew with
       Crew_config.ewt_capacity =
         max cfg.crew.Crew_config.ewt_capacity cfg.n_partitions;
+      ewt_max_outstanding = max_int;
     }
   in
   let core =
@@ -476,26 +475,34 @@ let start cfg =
   end;
   t
 
-(* CREW admission through the policy core: on a pinned partition ride
-   the pin, otherwise pin at the durable assignment ([`Static] — the
-   runtime's channels do their own queue accounting, so no JBSQ charge).
-   A reject is unreachable with the queued profile's effectively
-   unbounded counter; if it ever fires, route durably anyway. *)
-let pick_writer key t =
+(* d-CREW admission through the policy core. A partition with a write
+   outstanding is pinned: the new write depends on that one and rides
+   the pin to its worker. An unpinned partition is pinned by this
+   write — at the caller's own worker when the caller drives one
+   ([self], an event loop), so the write runs where it was decoded; at
+   the durable assignment otherwise ([`Static]). The runtime's channels
+   do their own queue accounting, so no JBSQ charge.
+
+   [start] sizes the EWT to never refuse. A refused write holds no
+   credit, so wherever it ran it would not hold its partition: once the
+   pin's counted writes released, admission could pin a second writer
+   while it still waited (the crew-dynamic-pin model finds this for a
+   reject routed to the pin's worker and to the fixed owner alike). *)
+let pick_writer t key ~self =
   let partition = Store.partition_of_key t.store key in
   Core.note_arrival t.core;
+  let pick = if self >= 0 then `Worker self else `Static in
   match
-    Core.admit_write t.core ~partition ~now:(t.cfg.clock ()) ~pick:`Static
+    Core.admit_write t.core ~charge:false ~partition ~now:(t.cfg.clock ()) ~pick
   with
   | Core.Admitted { worker; _ } -> worker
-  | Core.Rejected _ -> Core.assigned_owner t.core ~partition
-  | Core.No_slot -> assert false
+  | Core.Rejected _ | Core.No_slot -> assert false
 
 (* Round-robin over live workers; if none is live (every worker crashed
    at once, pre-recovery) any channel works — the monitor requeues. Read
    spray is engine mechanism, not a policy decision: the model balances
    reads through JBSQ slots, the runtime through this cursor. *)
-let pick_reader t =
+let pick_reader t ~self:_ =
   Core.note_arrival t.core;
   let n = t.cfg.n_workers in
   let rec find i tries =
@@ -517,26 +524,31 @@ let driven_by t self =
   | Some _ | None -> None
 
 (* Route + push as one atomic step under [route_lock], so a recovery can
-   never interleave between the routing decision and the push. When the
-   chosen worker is the one the caller drives, the op instead runs to
-   completion right here, after the lock is released. [try_push] maps a
-   closed channel (stop won the race) to [Stopped] rather than a raw
-   [Invalid_argument] escaping from the channel layer. *)
+   never interleave between the routing decision and the push. [pick]
+   gets the worker the caller drives ([-1] for none). When the chosen
+   worker is that one, the op instead runs to completion right here,
+   after the lock is released. Returns the chosen worker. [try_push]
+   maps a closed channel (stop won the race) to [Stopped] rather than a
+   raw [Invalid_argument] escaping from the channel layer. *)
 let submit t ?self pick op =
   let self = match driven_by t self with Some w -> w.id | None -> -1 in
   let target =
     Sync.with_lock t.route_lock (fun () ->
         if Atomic.get t.stopped then None
         else
-          let dst = pick t in
+          let dst = pick ~self in
           if Int.equal dst self then Some (`Here dst)
           else if Channel.try_push t.workers.(dst).channel op then Some (`Queued dst)
           else None)
   in
   match target with
   | None -> raise Stopped
-  | Some (`Here dst) -> step t t.workers.(dst) op
-  | Some (`Queued dst) -> (Atomic.get t.waker) dst
+  | Some (`Here dst) ->
+    step t t.workers.(dst) op;
+    dst
+  | Some (`Queued dst) ->
+    (Atomic.get t.waker) dst;
+    dst
 
 (* Reads on a driver run inline: [Store.get] is a seqlock reader, safe on
    any domain beside the partition's writer, and the arrival count is a
@@ -547,20 +559,20 @@ let get_k ?self t ~key k =
     if Atomic.get t.stopped then raise Stopped;
     Core.note_arrival t.core;
     step t w (Get (key, k))
-  | None -> submit t pick_reader (Get (key, k))
+  | None -> ignore (submit t (pick_reader t) (Get (key, k)))
 
-(* CREW: the partition owner is the only worker that ever writes it. *)
+(* CREW: only the partition's pinned worker writes it. *)
 let set_k ?self ?token t ~key ~value k =
-  submit t ?self (pick_writer key) (Set (key, value, token, k))
+  submit t ?self (pick_writer t key) (Set (key, value, token, k))
 
-(* Deletes mutate the partition, so CREW routes them to the owner. *)
-let delete_k ?self t ~key k = submit t ?self (pick_writer key) (Delete (key, k))
+(* Deletes mutate the partition, so CREW admits them like writes. *)
+let delete_k ?self t ~key k = submit t ?self (pick_writer t key) (Delete (key, k))
 
 let promise_k p = function Ok v -> Promise.fulfil p v | Error e -> Promise.fail p e
 
 let async f =
   let p = Promise.create () in
-  f (promise_k p);
+  ignore (f (promise_k p));
   p
 
 let get_async t ~key = async (get_k t ~key)
@@ -572,21 +584,15 @@ let delete t ~key = Promise.await (delete_async t ~key)
 
 let inject_crash t ~worker =
   if worker < 0 || worker >= t.cfg.n_workers then invalid_arg "Server.inject_crash";
-  submit t (fun _ -> worker) Crash
+  ignore (submit t (fun ~self:_ -> worker) Crash)
 
 let pause_worker t ~worker =
   if worker < 0 || worker >= t.cfg.n_workers then invalid_arg "Server.pause_worker";
   let entered = Promise.create () in
   let release = Promise.create () in
-  submit t (fun _ -> worker) (Gate (entered, release));
+  ignore (submit t (fun ~self:_ -> worker) (Gate (entered, release)));
   Promise.await entered;
   fun () -> Promise.fulfil release ()
-
-let sweep_stale t ~now =
-  Sync.with_lock t.route_lock (fun () -> Core.sweep_stale t.core ~now)
-
-let shed_check t ~now =
-  Sync.with_lock t.route_lock (fun () -> Core.shed_check t.core ~now)
 
 let shed_level t = Core.shed_level t.core
 let is_stopping t = Atomic.get t.stopped

@@ -22,10 +22,15 @@
       an op whose worker is the caller's own runs to completion inline,
       with no cross-domain hop.
 
-    - writes are admitted through [Core.admit_write] and routed to the
-      partition's pinned owner (CREW), so the store's per-partition
-      seqlocks never see two writers — the invariant the NIC enforces
-      in C-4;
+    - writes are admitted through [Core.admit_write] (d-CREW): a write
+      to a partition with a write outstanding rides the EWT pin to the
+      pinned worker; a write to an unpinned partition pins it — at the
+      caller's own worker when the caller drives one ([~self]), else at
+      the durable assignment — and the pin is released when the
+      partition's last outstanding write is acknowledged. Pins change
+      only under the routing lock, so a partition has one writer at a
+      time and the store's per-partition seqlocks, token tables and WAL
+      appends never see two — the invariant the NIC enforces in C-4;
     - reads run on the calling driver ([~self]) or are sprayed across
       live workers round-robin, and run the seqlock's optimistic
       protocol against concurrent in-place updates;
@@ -39,11 +44,11 @@
     - writes may carry an idempotency token: a retried write whose first
       attempt was applied (only the ack was lost) is detected in the
       store and NOT applied twice;
-    - crash recovery (see {!inject_crash}) re-owns the dead worker's
-      partitions on a survivor through [Core.reassign] (which also
-      evicts the dead worker's EWT pins, so no stale pin keeps routing
-      at the corpse) and requeues the dead channel's backlog along the
-      new routes — no acknowledged write is lost, and the recorded
+    - crash recovery (see {!inject_crash}) hands the dead worker's EWT
+      pins, with their outstanding counts, and its durable partitions
+      to a survivor through [Core.reassign], and requeues the dead channel's backlog on the
+      survivor — no acknowledged write is lost, no partition gains a
+      second writer, and the recorded
       history stays linearizable. A monitor domain does this for a dead
       worker domain and restarts it; a driven worker is recovered
       inline by its driver;
@@ -79,9 +84,11 @@ type config = {
       (** the shared d-CREW policy configuration — the same record type
           the model server takes, so the two engines cannot drift on
           thresholds. Compaction on/off and the batch cap now live
-          here. The EWT capacity is raised to [n_partitions] at start
-          if smaller: the runtime's table is bookkeeping, not a scarce
-          CAM *)
+          here. At start the EWT capacity is raised to [n_partitions]
+          if smaller and its per-partition counter made unbounded: the
+          runtime's table is bookkeeping, not a scarce CAM, and it
+          never refuses a write (a refused write holds no pin, so it
+          could run nowhere without risking a second writer) *)
   worker_domains : bool;
       (** [true] (default): spawn one domain per worker. [false]: spawn
           none — the caller drives worker [i] with {!run_queued} and
@@ -131,8 +138,8 @@ val get : t -> key:int -> bytes option
 
 val set : t -> key:int -> value:bytes -> unit
 
-(** Remove a key (routed to the partition owner like a write, since it
-    mutates partition state); [true] if the key was present. *)
+(** Remove a key (admitted like a write, since it mutates partition
+    state); [true] if the key was present. *)
 val delete : t -> key:int -> bool
 
 (** Nonblocking variants returning promises (a promise whose op failed
@@ -154,15 +161,19 @@ val delete_async : t -> key:int -> bool Promise.t
 
     [self] names the worker the calling thread drives; only an
     externally driven runtime honours it. There, a read runs inline
-    (no routing lock), and a write or delete runs inline when admission
-    routes it to [self]; otherwise the op is queued for its worker and
-    that worker's driver woken. Raises {!Stopped} once {!stop} began. *)
+    (no routing lock), and a write or delete to an unpinned partition
+    pins it at [self] and runs inline; a write to a partition pinned
+    at another worker (it depends on a write still outstanding there)
+    is queued for that worker and its driver woken. Without [self] a
+    write pins at the durable assignment. [set_k] and [delete_k]
+    return the worker admission chose — the one that runs the write.
+    Raises {!Stopped} once {!stop} began. *)
 val get_k : ?self:int -> t -> key:int -> ((bytes option, exn) result -> unit) -> unit
 
 val set_k :
-  ?self:int -> ?token:int -> t -> key:int -> value:bytes -> ((unit, exn) result -> unit) -> unit
+  ?self:int -> ?token:int -> t -> key:int -> value:bytes -> ((unit, exn) result -> unit) -> int
 
-val delete_k : ?self:int -> t -> key:int -> ((bool, exn) result -> unit) -> unit
+val delete_k : ?self:int -> t -> key:int -> ((bool, exn) result -> unit) -> int
 
 (** {2 External drivers} ([worker_domains = false]) *)
 
@@ -192,16 +203,6 @@ val inject_crash : t -> worker:int -> unit
     worker never drains its backlog). On an externally driven runtime
     the gate parks the driver itself (e.g. a serving loop). *)
 val pause_worker : t -> worker:int -> unit -> unit
-
-(** Run the core's EWT TTL staleness sweep at logical time [now];
-    returns the evicted partitions (ascending). Exposed for harnesses
-    and tests — the server does not tick this itself. *)
-val sweep_stale : t -> now:float -> int list
-
-(** Run the core's load-shed check at logical time [now]; returns the
-    (possibly new) level. Exposed for harnesses — this server never
-    rejects on shed itself (its channels backpressure instead). *)
-val shed_check : t -> now:float -> int
 
 val shed_level : t -> int
 
@@ -245,8 +246,9 @@ val stats : t -> stats
 val alive_workers : t -> int
 
 (** The worker that owns a key's partition — the core's pin-aware
-    ownership view ([Core.route_owner]), which the network stack also
-    routes through. After a recovery this reflects the re-owned map. *)
+    ownership view ([Core.route_owner]): the pinned worker while a
+    write is outstanding, else the durable assignment. After a recovery
+    this reflects the re-owned map. *)
 val owner_of_key : t -> int -> int
 
 (** {2 Client-side routing helpers}

@@ -511,6 +511,7 @@ let test_models_hold () =
   check_complete "channel" (Models.channel ());
   check_complete "promise" (Models.promise ());
   check_complete "crew-core" (Models.crew_core ());
+  check_complete "crew-dynamic-pin" (Models.crew_dynamic_pin ());
   check_complete "compaction" (fst (Models.compaction ()))
 
 let expect_violation ?(substring = "") name packed =
@@ -563,6 +564,16 @@ let test_crew_core_broken_variant () =
     (expect_violation ~substring:"note_response" "strict-release"
        (Models.crew_core ~broken:Models.Strict_release ()))
 
+let test_crew_dynamic_pin_broken_variants () =
+  (* A write the EWT refused holds no credit: routed to the fixed owner
+     or to the pinned worker, it runs beside a second writer. *)
+  ignore
+    (expect_violation ~substring:"two writers" "reject-to-fixed-owner"
+       (Models.crew_dynamic_pin ~broken:Models.Reject_to_fixed_owner ()));
+  ignore
+    (expect_violation ~substring:"two writers" "reject-to-pin"
+       (Models.crew_dynamic_pin ~broken:Models.Reject_to_pin ()))
+
 let test_compaction_bridge_to_linearizability () =
   (* The tentpole bridge: the early-ack compaction counterexample's
      recorded history, replayed, is judged NOT linearizable by the
@@ -613,6 +624,8 @@ let tests =
     Alcotest.test_case "models: channel seeded bug" `Quick test_channel_broken_variant;
     Alcotest.test_case "models: promise seeded bug" `Quick test_promise_broken_variant;
     Alcotest.test_case "models: crew core seeded bug" `Quick test_crew_core_broken_variant;
+    Alcotest.test_case "models: dynamic-pin seeded bugs" `Quick
+      test_crew_dynamic_pin_broken_variants;
     Alcotest.test_case "models: compaction -> linearizability" `Quick
       test_compaction_bridge_to_linearizability;
   ]

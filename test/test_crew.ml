@@ -156,8 +156,15 @@ let test_pin_fallback () =
   | _ -> Alcotest.fail "expected Admitted");
   Alcotest.(check int) "pick charged a slot" 1 (Core.occupancy core ~worker:3);
   (* Explicit worker pick (central-queue hand-out). *)
-  match Core.admit_write core ~partition:7 ~now:0.0 ~pick:(`Worker 1) with
+  (match Core.admit_write core ~partition:7 ~now:0.0 ~pick:(`Worker 1) with
   | Core.Admitted { worker; _ } -> Alcotest.(check int) "explicit pick" 1 worker
+  | _ -> Alcotest.fail "expected Admitted");
+  Alcotest.(check int) "explicit pick charged a slot" 2 (Core.occupancy core ~worker:1);
+  (* An engine with its own queues (the runtime) admits uncharged. *)
+  match Core.admit_write core ~charge:false ~partition:5 ~now:0.0 ~pick:(`Worker 1) with
+  | Core.Admitted { worker; _ } ->
+    Alcotest.(check int) "uncharged pick" 1 worker;
+    Alcotest.(check int) "no slot charged" 2 (Core.occupancy core ~worker:1)
   | _ -> Alcotest.fail "expected Admitted"
 
 let test_reassign () =
@@ -165,22 +172,31 @@ let test_reassign () =
   let core =
     Core.create ~on_decision:record ~cfg:Config.default ~n_workers:4 ~n_partitions:8 ()
   in
-  (match Core.admit_write core ~partition:1 ~now:0.0 ~pick:`Static with
-  | Core.Admitted { worker = 1; _ } -> ()
-  | _ -> Alcotest.fail "expected pin at worker 1");
+  (* Two writes outstanding on partition 1, pinned at worker 1. *)
+  for _ = 1 to 2 do
+    match Core.admit_write core ~partition:1 ~now:0.0 ~pick:`Static with
+    | Core.Admitted { worker = 1; _ } -> ()
+    | _ -> Alcotest.fail "expected pin at worker 1"
+  done;
   Alcotest.(check int) "no-op self reassign" 0
     (Core.reassign core ~from_worker:1 ~to_worker:1);
   Alcotest.(check int) "partitions moved" 2
     (Core.reassign core ~from_worker:1 ~to_worker:3);
-  Alcotest.(check int) "pin evicted" 0 (Core.ewt_occupancy core);
+  Alcotest.(check int) "pin moved, not evicted" 1 (Core.ewt_occupancy core);
+  Alcotest.(check int) "pin keeps its count" 2 (Core.ewt_outstanding core ~partition:1);
   Alcotest.(check int) "durable moved" 3 (Core.assigned_owner core ~partition:5);
   Alcotest.(check int) "route follows remap" 3 (Core.route_owner core ~partition:1);
-  Alcotest.(check (list decision)) "eviction precedes remaps"
+  Core.write_done core ~partition:1;
+  Core.write_done core ~partition:1;
+  Alcotest.(check int) "released by the writes it counts" 0 (Core.ewt_occupancy core);
+  Alcotest.(check (list decision)) "pin hand-over precedes remaps"
     [
       Decision.Pin { partition = 1; worker = 1 };
-      Decision.Unpin { partition = 1 };
+      Decision.Route { partition = 1; worker = 1 };
+      Decision.Pin { partition = 1; worker = 3 };
       Decision.Remap { partition = 1; from_worker = 1; to_worker = 3 };
       Decision.Remap { partition = 5; from_worker = 1; to_worker = 3 };
+      Decision.Unpin { partition = 1 };
     ]
     (dump ())
 

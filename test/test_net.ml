@@ -705,8 +705,11 @@ let counter_value reg name =
   | Some _ -> Alcotest.failf "%s is not a counter" name
   | None -> Alcotest.failf "counter %s not registered" name
 
-(* After a crash remap, routed-write counts must attribute to the new
-   owner — the dead worker's counter freezes, it never dangles. *)
+(* Routed-write counts say where writes ran. A write to an unpinned
+   partition pins it at the decoding loop's worker and runs there, so a
+   client's sequential writes (each released before its ack) all count
+   on its connection's loop, whatever the partition's fixed owner. A
+   crash still remaps the durable ownership, and the census shows it. *)
 let test_routed_counter_migration () =
   let runtime_cfg =
     { Runtime.default_config with Runtime.n_workers = 4; monitor_interval = 0.001 }
@@ -714,47 +717,48 @@ let test_routed_counter_migration () =
   with_net ~runtime_cfg (fun runtime srv client ->
       let reg = NetServer.registry srv in
       let routed w = counter_value reg (Printf.sprintf "net.routed_w%d" w) in
+      let total () = List.fold_left (fun acc w -> acc + routed w) 0 [ 0; 1; 2; 3 ] in
       (* Eager registration: every worker's counter is scrapable before
          any traffic reaches it. *)
       for w = 0 to 3 do
         Alcotest.(check int) (Printf.sprintf "routed_w%d starts at 0" w) 0 (routed w)
       done;
-      let key = 0 in
+      (* The client's one connection is the first accepted: loop 0. The
+         key's fixed owner is another worker. *)
+      let key = List.find (fun k -> Runtime.owner_of_key runtime k <> 0) (List.init 64 Fun.id) in
+      let owner = Runtime.owner_of_key runtime key in
       let set () =
         match NetClient.set client ~key ~value:(Bytes.of_string "m") with
         | Ok () -> ()
         | Error e -> Alcotest.failf "set failed: %s" e
       in
-      let owner = Runtime.owner_of_key runtime key in
       for _ = 1 to 25 do set () done;
-      Alcotest.(check int) "all sets routed to the owner" 25 (routed owner);
+      Alcotest.(check int) "the counts sum to the writes sent" 25 (total ());
+      Alcotest.(check int) "unpinned writes count on the connection's loop" 25 (routed 0);
+      Alcotest.(check int) "nothing counts on the fixed owner" 0 (routed owner);
       Runtime.inject_crash runtime ~worker:owner;
       let rec await tries =
         if tries = 0 then Alcotest.fail "recovery did not complete"
-        else if
-          Runtime.alive_workers runtime = 4
-          && (Runtime.stats runtime).Runtime.recoveries > 0
-          && Runtime.owner_of_key runtime key <> owner
-        then ()
+        else if (Runtime.stats runtime).Runtime.recoveries > 0 then ()
         else begin
           Unix.sleepf 0.001;
           await (tries - 1)
         end
       in
       await 5_000;
-      let new_owner = Runtime.owner_of_key runtime key in
-      let frozen = routed owner in
-      let before = routed new_owner in
       for _ = 1 to 25 do set () done;
-      Alcotest.(check int) "post-recovery sets attribute to the new owner"
-        (before + 25) (routed new_owner);
-      Alcotest.(check int) "dead worker's counter is frozen" frozen (routed owner);
-      (* The ownership census agrees: the dead worker re-registered with
-         zero partitions until re-pinned, the survivor absorbed them. *)
+      Alcotest.(check int) "post-recovery counts still sum to the writes sent" 50 (total ());
+      Alcotest.(check int) "post-recovery writes still run on the connection's loop" 50
+        (routed 0);
+      (* The ownership census shows the remap: the crashed worker holds
+         no partition, the survivors hold them all. *)
       let counts = Runtime.ownership_counts runtime in
+      Alcotest.(check int) "crashed worker owns nothing" 0 counts.(owner);
       Alcotest.(check int) "census sums to the partition count"
         (Runtime.n_partitions runtime)
-        (Array.fold_left ( + ) 0 counts))
+        (Array.fold_left ( + ) 0 counts);
+      Alcotest.(check bool) "the key's partition moved" true
+        (Runtime.owner_of_key runtime key <> owner))
 
 let test_client_routing_matches_cluster () =
   for key = 0 to 999 do
@@ -909,58 +913,124 @@ let test_slow_client_dropped () =
    worker — then a GET and a SET that run inline on this connection's
    own loop. The inline answers must wait behind the forwarded one:
    responses leave in request order. *)
-let test_forwarded_write_keeps_order () =
-  with_net (fun runtime srv _ ->
-      (* The first connection lands on loop 0 (round-robin from 0), so
-         loop 0 drives this connection and worker 1 is the other loop. *)
+(* Read [n] responses off a raw connection, in arrival order. *)
+let read_responses fd n =
+  let buf = Bytes.create 4096 in
+  let dec = Wire.Decoder.create wire in
+  let got = ref [] in
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while List.length !got < n do
+    if Unix.gettimeofday () > deadline then Alcotest.fail "timed out";
+    let k = Unix.read fd buf 0 (Bytes.length buf) in
+    if k = 0 then Alcotest.fail "server closed";
+    Wire.Decoder.feed dec buf ~off:0 ~len:k;
+    let rec drain () =
+      match Wire.Decoder.next_frame dec with
+      | `Frame body -> (
+        match Wire.decode_response wire body with
+        | Ok r ->
+          got := r :: !got;
+          drain ()
+        | Error e -> Alcotest.failf "bad response: %s" e)
+      | `Awaiting -> ()
+      | `Corrupt e -> Alcotest.failf "corrupt: %s" e
+    in
+    drain ()
+  done;
+  List.rev !got
+
+(* Park worker 1, and pin [key] (fixed owner: worker 1) there with a
+   non-loop write ([set_async] pins at the durable assignment) that
+   waits on the parked worker. Writes to [key] from a loop-0
+   connection then depend on that one: admission forwards them to
+   worker 1. [f] gets the raw connection (the first accepted, so on
+   loop 0), the key and the release; the parked worker is released
+   and the pinning write awaited on the way out. *)
+let with_pinned_on_parked_worker f =
+  with_net (fun runtime srv client ->
       let fd = raw_connect srv in
-      let key_of w = List.find (fun k -> Runtime.owner_of_key runtime k = w) (List.init 64 Fun.id) in
-      let other = key_of 1 and own = key_of 0 in
+      let key =
+        List.find (fun k -> Runtime.owner_of_key runtime k = 1) (List.init 64 Fun.id)
+      in
       let release = Runtime.pause_worker runtime ~worker:1 in
       let released = ref false in
       let release () = if not !released then (released := true; release ()) in
+      let pin = Runtime.set_async runtime ~key ~value:(Bytes.of_string "pin") in
       Fun.protect
         ~finally:(fun () ->
           (* A parked loop would hang the server's drain. *)
           release ();
+          C4_runtime.Promise.await pin;
           try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () ->
-          let req i op key value = { Wire.id = i; op; key; token = None; trace = None; value } in
-          List.iter
-            (fun r -> write_all fd (Wire.encode_request wire r))
-            [
-              req 0 Wire.Set other (Bytes.of_string "fwd");
-              req 1 Wire.Get own Bytes.empty;
-              req 2 Wire.Set own (Bytes.of_string "inline");
-            ];
-          (* The inline ops completed long ago, but nothing may leave
-             before the forwarded SET's answer. *)
-          let buf = Bytes.create 4096 in
-          (match Unix.select [ fd ] [] [] 0.2 with
-          | [], _, _ -> ()
-          | _ -> Alcotest.fail "a response overtook the forwarded SET");
-          release ();
-          let dec = Wire.Decoder.create wire in
-          let got = ref [] in
-          let deadline = Unix.gettimeofday () +. 10.0 in
-          while List.length !got < 3 do
-            if Unix.gettimeofday () > deadline then Alcotest.fail "timed out";
-            let n = Unix.read fd buf 0 (Bytes.length buf) in
-            if n = 0 then Alcotest.fail "server closed";
-            Wire.Decoder.feed dec buf ~off:0 ~len:n;
-            let rec drain () =
-              match Wire.Decoder.next_frame dec with
-              | `Frame body -> (
-                match Wire.decode_response wire body with
-                | Ok r -> got := r :: !got; drain ()
-                | Error e -> Alcotest.failf "bad response: %s" e)
-              | `Awaiting -> ()
-              | `Corrupt e -> Alcotest.failf "corrupt: %s" e
-            in
-            drain ()
-          done;
-          Alcotest.(check (list int)) "responses in request order" [ 0; 1; 2 ]
-            (List.rev_map (fun r -> r.Wire.resp_id) !got)))
+        (fun () -> f runtime srv client fd key release))
+
+let request i op key value = { Wire.id = i; op; key; token = None; trace = None; value }
+
+let test_forwarded_write_keeps_order () =
+  with_pinned_on_parked_worker (fun _ srv client fd key release ->
+      List.iter
+        (fun r -> write_all fd (Wire.encode_request wire r))
+        [
+          request 0 Wire.Set key (Bytes.of_string "fwd");
+          request 1 Wire.Get key Bytes.empty;
+          request 2 Wire.Set key (Bytes.of_string "last");
+        ];
+      (* The GET ran inline on loop 0 long ago, but nothing may leave
+         before the forwarded SET's answer. *)
+      (match Unix.select [ fd ] [] [] 0.2 with
+      | [], _, _ -> ()
+      | _ -> Alcotest.fail "a response overtook the forwarded SET");
+      Alcotest.(check int) "both SETs forwarded to the pinned worker" 2
+        (counter_value (NetServer.registry srv) "net.routed_w1");
+      release ();
+      let got = read_responses fd 3 in
+      Alcotest.(check (list int)) "responses in request order" [ 0; 1; 2 ]
+        (List.map (fun r -> r.Wire.resp_id) got);
+      Alcotest.(check bool) "both SETs acked" true
+        (List.for_all
+           (fun r -> r.Wire.resp_id = 1 || r.Wire.status = Wire.Ok)
+           got);
+      Alcotest.(check (option string)) "the last write wins" (Some "last")
+        (match NetClient.get client ~key with
+        | Ok v -> Option.map Bytes.to_string v
+        | Error e -> Alcotest.failf "get failed: %s" e))
+
+(* Dependent writes that queue behind a pinned partition are the
+   compaction harvest's input: a backlog of SETs to one key, forwarded
+   while the pinned worker is parked, closes as ONE window when the
+   worker resumes (the pinning write opens it and harvests the rest). *)
+let test_dependent_backlog_one_window () =
+  with_pinned_on_parked_worker (fun runtime srv client fd key release ->
+      let n = 20 in
+      let batches0 = (Runtime.stats runtime).Runtime.batches in
+      List.iter
+        (fun i ->
+          write_all fd
+            (Wire.encode_request wire
+               (request i Wire.Set key (Bytes.of_string (Printf.sprintf "v%d" i)))))
+        (List.init n Fun.id);
+      (* Every SET must sit in the parked worker's inbox before it
+         resumes: admission counts it as it forwards it. *)
+      let deadline = Unix.gettimeofday () +. 10.0 in
+      while counter_value (NetServer.registry srv) "net.routed_w1" < n do
+        if Unix.gettimeofday () > deadline then Alcotest.fail "SETs not forwarded";
+        Unix.sleepf 0.001
+      done;
+      release ();
+      let got = read_responses fd n in
+      Alcotest.(check (list int)) "every SET answered, in order" (List.init n Fun.id)
+        (List.map (fun r -> r.Wire.resp_id) got);
+      Alcotest.(check bool) "every SET acked" true
+        (List.for_all (fun r -> r.Wire.status = Wire.Ok) got);
+      let stats = Runtime.stats runtime in
+      Alcotest.(check int) "one compaction window" 1 (stats.Runtime.batches - batches0);
+      Alcotest.(check int) "the window absorbed the pin and the backlog" (n + 1)
+        stats.Runtime.batched_writes;
+      Alcotest.(check (option string)) "a read returns the last value"
+        (Some (Printf.sprintf "v%d" (n - 1)))
+        (match NetClient.get client ~key with
+        | Ok v -> Option.map Bytes.to_string v
+        | Error e -> Alcotest.failf "get failed: %s" e))
 
 (* A caller that is not a loop (replica apply, tests) queues for the
    owner's loop and wakes it: 200 sequential round trips finish at wake
@@ -1103,6 +1173,8 @@ let tests =
       test_slow_client_dropped;
     Alcotest.test_case "forwarded write keeps response order" `Quick
       test_forwarded_write_keeps_order;
+    Alcotest.test_case "dependent backlog closes as one window" `Quick
+      test_dependent_backlog_one_window;
     Alcotest.test_case "non-loop submit wakes the owner loop" `Quick
       test_non_loop_submit_wakes_owner;
     Alcotest.test_case "pending bound backpressures, never drops" `Quick

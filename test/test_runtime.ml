@@ -209,6 +209,65 @@ let test_server_crew_routing () =
       Alcotest.(check int) "all workers own partitions"
         Server.default_config.Server.n_workers (Hashtbl.length owners))
 
+(* A runtime with no worker domains, driven by hand from the test
+   thread the way the event loops drive it: [~self] names the loop that
+   decoded an op, [run_queued] runs what was forwarded to a worker. *)
+let with_driven f =
+  let t =
+    Server.start { Server.default_config with Server.n_workers = 2; worker_domains = false }
+  in
+  Fun.protect ~finally:(fun () -> Server.stop t) (fun () -> f t)
+
+let key_owned_by t w = List.find (fun k -> Server.owner_of_key t k = w) (List.init 64 Fun.id)
+
+let read_inline t ~key =
+  let got = ref None in
+  Server.get_k ~self:0 t ~key (function
+    | Ok v -> got := Option.map Bytes.to_string v
+    | Error e -> raise e);
+  !got
+
+let test_dynamic_pinning () =
+  with_driven (fun t ->
+      let key = key_owned_by t 1 in
+      let acked = ref 0 in
+      let k = function Ok () -> incr acked | Error e -> raise e in
+      Alcotest.(check int) "an unpinned write runs on the caller's worker" 0
+        (Server.set_k ~self:0 t ~key ~value:(Bytes.of_string "a") k);
+      Alcotest.(check int) "inline, before set_k returned" 1 !acked;
+      (* A write waiting in worker 1's inbox pins the partition there:
+         the next write depends on it and is forwarded behind it. *)
+      let pin = Server.set_async t ~key ~value:(Bytes.of_string "b") in
+      Alcotest.(check int) "a dependent write goes to the pinned worker" 1
+        (Server.set_k ~self:0 t ~key ~value:(Bytes.of_string "c") k);
+      Alcotest.(check int) "forwarded, not run" 1 !acked;
+      Server.run_queued t ~worker:1;
+      Promise.await pin;
+      Alcotest.(check int) "run by the pinned worker" 2 !acked;
+      Alcotest.(check (option string)) "in admission order" (Some "c") (read_inline t ~key);
+      Alcotest.(check int) "the pin is released: the next write runs inline again" 0
+        (Server.set_k ~self:0 t ~key ~value:(Bytes.of_string "d") k))
+
+(* A crashed worker's pins go to the survivor with their counts: a write
+   still queued there keeps its partition, so a write decoded by the
+   crashed worker's loop follows it instead of pinning a second writer
+   beside it. *)
+let test_crash_hands_pins_over () =
+  with_driven (fun t ->
+      let key = key_owned_by t 1 in
+      Server.inject_crash t ~worker:1;
+      let queued = Server.set_async t ~key ~value:(Bytes.of_string "queued") in
+      Server.run_queued t ~worker:1;
+      Alcotest.(check int) "recovered" 1 (Server.stats t).Server.recoveries;
+      Alcotest.(check int) "the dependent write follows the pin to the survivor" 0
+        (Server.set_k ~self:1 t ~key ~value:(Bytes.of_string "after") (function
+          | Ok () -> ()
+          | Error e -> raise e));
+      Server.run_queued t ~worker:0;
+      Promise.await queued;
+      Alcotest.(check (option string)) "both applied, in order" (Some "after")
+        (read_inline t ~key))
+
 let test_server_async_pipeline () =
   with_server (fun t ->
       let promises =
@@ -516,6 +575,8 @@ let tests =
     Alcotest.test_case "server idempotent retry applies once" `Quick
       test_server_idempotent_retry;
     Alcotest.test_case "server CREW routing covers workers" `Quick test_server_crew_routing;
+    Alcotest.test_case "driven write pins at the caller" `Quick test_dynamic_pinning;
+    Alcotest.test_case "crash hands pins to the survivor" `Quick test_crash_hands_pins_over;
     Alcotest.test_case "server async pipeline" `Quick test_server_async_pipeline;
     Alcotest.test_case "server compaction batches writes" `Quick test_server_compaction_batches;
     Alcotest.test_case "server without compaction never batches" `Quick
