@@ -579,8 +579,6 @@ let microbench () =
         (Staged.stage (fun () ->
              C4_dsim.Heap.push heap ~priority:(C4_dsim.Rng.float rng) ();
              ignore (C4_dsim.Heap.pop heap)));
-      Test.make ~name:"fnv1a hash (16B key)"
-        (Staged.stage (fun () -> ignore (C4_kvs.Hash.fnv1a "0123456789abcdef")));
       (let wire = C4_net.Wire.create () in
        let req =
          {

@@ -1,6 +1,6 @@
 (* c4_analyze [--json] [--baseline FILE] [--fail-stale] DIR...  — run
-   the typed-AST concurrency analyzer over every .cmt beneath the given
-   directories (default: lib) and exit non-zero on findings not covered
+   the typed-AST analyzer over every .cmt and .ml beneath the given
+   directories (default: lib bin) and exit non-zero on findings not covered
    by the baseline — and, with --fail-stale, on baseline entries that no
    longer match anything (so the baseline can only shrink as code is
    fixed). Wired to `dune build @analyze`. *)
@@ -22,7 +22,7 @@ let () =
     ]
     (fun d -> dirs := d :: !dirs)
     "c4_analyze [--json] [--baseline FILE] [--fail-stale] DIR...";
-  let dirs = if !dirs = [] then [ "lib" ] else List.rev !dirs in
+  let dirs = if !dirs = [] then [ "lib"; "bin" ] else List.rev !dirs in
   let baseline =
     if !baseline_file = "" then []
     else C4_check.Staticcheck.load_baseline !baseline_file

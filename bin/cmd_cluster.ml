@@ -71,6 +71,17 @@ let make_map ~n_nodes ~n_shards ~base_port =
   in
   Shardmap.initial ~nodes ~n_shards
 
+(* SIGTERM lets a node drain and close its WAL; one that has not exited
+   within the grace period is killed, so no node outlives clusterd. *)
+let term_grace_s = 10.0
+
+let term_node child =
+  Proc.kill ~signal:Sys.sigterm child;
+  if Proc.wait ~timeout:term_grace_s child = None then begin
+    Proc.kill ~signal:Sys.sigkill child;
+    ignore (Proc.wait ~timeout:term_grace_s child)
+  end
+
 let write_map_file ~path map =
   let oc = open_out_bin path in
   output_bytes oc (Shardmap.encode map);
@@ -94,7 +105,9 @@ let spawn_node ~map_file ~wal_root ~workers ~partitions ~fsync_policy ~ack i =
   let child = Proc.spawn ~prog:Sys.executable_name ~args in
   let rec handshake () =
     match Proc.await_line ~timeout:30.0 child with
-    | None -> Error (Printf.sprintf "node %d never printed its listening line" i)
+    | None ->
+      term_node child;
+      Error (Printf.sprintf "node %d never printed its listening line" i)
     | Some line ->
       if
         String.length line >= 21
@@ -104,16 +117,37 @@ let spawn_node ~map_file ~wal_root ~workers ~partitions ~fsync_policy ~ack i =
   in
   handshake ()
 
-let spawn_cluster ~map ~map_file ~wal_root ~workers ~partitions ~fsync_policy ~ack =
-  write_map_file ~path:map_file map;
-  List.init (Shardmap.n_nodes map) (fun i ->
-      match spawn_node ~map_file ~wal_root ~workers ~partitions ~fsync_policy ~ack i with
-      | Ok child -> child
-      | Error e -> fail "spawn: %s" e)
+(* Tries at spawning the whole cluster when its ports are drawn at
+   random: another process can take a drawn port between [alloc_port]
+   releasing it and the node binding it. *)
+let spawn_attempts = 3
 
-let term_node child =
-  Proc.kill ~signal:Sys.sigterm child;
-  ignore (Proc.wait ~timeout:30.0 child)
+(* Start every node of [map], or none: a failed spawn terminates the
+   nodes already started. With [base_port = 0] the ports are redrawn
+   and the spawn retried, so the map in use is returned. *)
+let spawn_cluster ~base_port ~map ~map_file ~wal_root ~workers ~partitions ~fsync_policy
+    ~ack =
+  let rec attempt n map =
+    write_map_file ~path:map_file map;
+    let rec start i started =
+      if i = Shardmap.n_nodes map then Ok (List.rev started)
+      else
+        match spawn_node ~map_file ~wal_root ~workers ~partitions ~fsync_policy ~ack i with
+        | Ok child -> start (i + 1) (child :: started)
+        | Error e ->
+          List.iter term_node started;
+          Error e
+    in
+    match start 0 [] with
+    | Ok children -> (map, children)
+    | Error e when base_port = 0 && n < spawn_attempts ->
+      prerr_endline ("c4_sim: spawn: " ^ e ^ "; redrawing ports");
+      attempt (n + 1)
+        (make_map ~n_nodes:(Shardmap.n_nodes map) ~n_shards:(Shardmap.n_shards map)
+           ~base_port)
+    | Error e -> fail "spawn: %s" e
+  in
+  attempt 1 map
 
 let make_routing map =
   Routing.create (Routing.default_config ~retry:failover_retry) ~map
@@ -188,7 +222,7 @@ let judged_reader ~map ~client ~count ~pace ~key () =
 
 (* ---------------- chaos mode ---------------- *)
 
-let chaos_run ~map ~map_file ~wal_root ~workers ~partitions ~fsync_policy ~ack
+let chaos_run ~base_port ~map ~map_file ~wal_root ~workers ~partitions ~fsync_policy ~ack
     ~kill_after =
   Printf.printf
     "cluster-chaos: %d nodes, %d shards, ack %s, fsync %s, SIGKILL leader after \
@@ -197,8 +231,9 @@ let chaos_run ~map ~map_file ~wal_root ~workers ~partitions ~fsync_policy ~ack
     (C4_clusterd.Member.ack_mode_to_string ack)
     (C4_wal.Wal.fsync_policy_to_string fsync_policy)
     kill_after;
-  let children =
-    spawn_cluster ~map ~map_file ~wal_root ~workers ~partitions ~fsync_policy ~ack
+  let map, children =
+    spawn_cluster ~base_port ~map ~map_file ~wal_root ~workers ~partitions ~fsync_policy
+      ~ack
   in
   let sup = Supervisor.start (supervisor_config ~verbose:true) ~map in
   (* Concurrent judged load on one key whose leader is about to die:
@@ -329,10 +364,11 @@ let chaos_run ~map ~map_file ~wal_root ~workers ~partitions ~fsync_policy ~ack
 
 (* ---------------- bench mode ---------------- *)
 
-let bench_run ~map ~map_file ~wal_root ~workers ~partitions ~fsync_policy ~ack
+let bench_run ~base_port ~map ~map_file ~wal_root ~workers ~partitions ~fsync_policy ~ack
     ~n_ops ~write_frac ~threads ~bench_json =
-  let children =
-    spawn_cluster ~map ~map_file ~wal_root ~workers ~partitions ~fsync_policy ~ack
+  let map, children =
+    spawn_cluster ~base_port ~map ~map_file ~wal_root ~workers ~partitions ~fsync_policy
+      ~ack
   in
   let per_thread = max 1 (n_ops / threads) in
   let t0 = now () in
@@ -415,10 +451,11 @@ let bench_run ~map ~map_file ~wal_root ~workers ~partitions ~fsync_policy ~ack
 
 (* ---------------- run mode ---------------- *)
 
-let serve_run ~map ~map_file ~wal_root ~workers ~partitions ~fsync_policy ~ack
+let serve_run ~base_port ~map ~map_file ~wal_root ~workers ~partitions ~fsync_policy ~ack
     ~duration =
-  let children =
-    spawn_cluster ~map ~map_file ~wal_root ~workers ~partitions ~fsync_policy ~ack
+  let map, children =
+    spawn_cluster ~base_port ~map ~map_file ~wal_root ~workers ~partitions ~fsync_policy
+      ~ack
   in
   let sup = Supervisor.start (supervisor_config ~verbose:true) ~map in
   List.iteri
@@ -462,13 +499,13 @@ let cluster_run nodes shards base_port workers partitions fsync_policy ack
   let map = make_map ~n_nodes:nodes ~n_shards:shards ~base_port in
   let map_file = Filename.concat wal_root "map.json" in
   if chaos then
-    chaos_run ~map ~map_file ~wal_root ~workers ~partitions ~fsync_policy ~ack
+    chaos_run ~base_port ~map ~map_file ~wal_root ~workers ~partitions ~fsync_policy ~ack
       ~kill_after
   else if bench then
-    bench_run ~map ~map_file ~wal_root ~workers ~partitions ~fsync_policy ~ack
+    bench_run ~base_port ~map ~map_file ~wal_root ~workers ~partitions ~fsync_policy ~ack
       ~n_ops ~write_frac ~threads ~bench_json
   else
-    serve_run ~map ~map_file ~wal_root ~workers ~partitions ~fsync_policy ~ack
+    serve_run ~base_port ~map ~map_file ~wal_root ~workers ~partitions ~fsync_policy ~ack
       ~duration
 
 let cmd =

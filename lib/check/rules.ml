@@ -1,9 +1,14 @@
-(* The four concurrency-discipline passes over the typed-AST fact
-   base. Each emits {!Lint.violation}s whose [message] is line-free
-   and deterministic, so [rule ^ file ^ message] is a stable baseline
-   key that survives unrelated edits shifting line numbers. *)
+(* The rule passes over the typed-AST fact base: six
+   concurrency-discipline passes over library code and four repo rules
+   over every unit ([mli-required], the fifth repo rule, is a source
+   walk in {!Staticcheck}). Each emits
+   violations whose [message] is line-free and deterministic, so
+   [rule ^ file ^ message] is a stable baseline key that survives
+   unrelated edits shifting line numbers. *)
 
 module F = Tast_facts
+
+type violation = { file : string; line : int; rule : string; message : string }
 
 (* ---------------- blocking-primitive classification ---------------- *)
 
@@ -47,8 +52,7 @@ let via_suffix = function
   | [] -> ""
   | chain -> Printf.sprintf " (via %s)" (String.concat " -> " chain)
 
-let v ~file ~line ~rule message =
-  { Lint.file; line; rule; message }
+let v ~file ~line ~rule message = { file; line; rule; message }
 
 (* ---------------- 1. lock-order ---------------- *)
 
@@ -97,7 +101,7 @@ let blocking_in_worker_pass cg =
       List.filter_map
         (fun (w : Callgraph.witnessed) ->
           (* Mutex.lock only ever appears inside with_lock helpers
-             (enforced by the token lint); acquisitions under workers
+             (enforced by bare-mutex-lock); acquisitions under workers
              are the lock-order pass's business. *)
           if strip_stdlib w.Callgraph.w_item = "Mutex.lock" then None
           else
@@ -264,14 +268,108 @@ let toplevel_lazy_pass (units : F.unit_facts list) =
         uf.F.uf_lazies)
     units
 
+(* ---------------- 7. repo rules over references ---------------- *)
+
+(* Every identifier a unit references, calls and spawn targets alike,
+   with a leading local module alias expanded ([module M = Mutex] makes
+   [M.lock] read [Stdlib.Mutex.lock]) and the [Stdlib.] prefix dropped. *)
+let references (uf : F.unit_facts) =
+  let expand name =
+    match String.index_opt name '.' with
+    | None -> name
+    | Some i -> (
+      match List.assoc_opt (String.sub name 0 i) uf.F.uf_aliases with
+      | Some target -> target ^ String.sub name i (String.length name - i)
+      | None -> name)
+  in
+  List.concat_map
+    (fun (fc : F.func) ->
+      List.map (fun (c : F.call) -> (fc.F.fn_name, c.F.callee, c.F.c_line)) fc.F.calls
+      @ List.map
+          (fun (s : F.spawn) -> (fc.F.fn_name, s.F.s_target, s.F.s_line))
+          fc.F.spawns)
+    uf.F.uf_funcs
+  |> List.map (fun (fn, name, line) -> (fn, strip_stdlib (expand name), line))
+
+let stdout_printers =
+  [ "Printf.printf"; "Format.printf"; "print_endline"; "print_string";
+    "print_newline"; "print_char"; "print_int"; "print_float" ]
+
+(* [bare-mutex-lock]: everything outside Runtime.Sync goes through the
+   exception-safe [Sync.with_lock]. [no-obj-magic]: no [Obj.magic].
+   [no-stdout-print]: library code takes an out_channel or formatter. *)
+let reference_pass ~is_lib (units : F.unit_facts list) =
+  List.concat_map
+    (fun (uf : F.unit_facts) ->
+      let file = uf.F.uf_source in
+      List.filter_map
+        (fun (fn, name, line) ->
+          match name with
+          | ("Mutex.lock" | "Mutex.unlock") when uf.F.uf_unit <> "C4_runtime.Sync" ->
+            Some
+              (v ~file ~line ~rule:"bare-mutex-lock"
+                 (Printf.sprintf
+                    "%s calls %s outside Runtime.Sync: use Sync.with_lock so \
+                     exceptions cannot leak a held lock"
+                    fn name))
+          | "Obj.magic" ->
+            Some
+              (v ~file ~line ~rule:"no-obj-magic"
+                 (Printf.sprintf
+                    "%s uses Obj.magic, which defeats the type system; restructure \
+                     instead"
+                    fn))
+          | _ when is_lib uf && List.mem name stdout_printers ->
+            Some
+              (v ~file ~line ~rule:"no-stdout-print"
+                 (Printf.sprintf
+                    "%s calls %s: library code writes to stdout; take an \
+                     out_channel or a Format formatter instead"
+                    fn name))
+          | _ -> None)
+        (references uf))
+    units
+
+(* [poly-compare-mutable]: a polymorphic comparison typed at a record
+   type that has a mutable field, wherever that type is declared. Such
+   a compare reads every field without synchronisation, so it can see
+   a half-updated record; write a typed equal/compare instead. *)
+let poly_compare_pass (units : F.unit_facts list) =
+  let mutable_records = Hashtbl.create 64 in
+  List.iter
+    (fun (uf : F.unit_facts) ->
+      List.iter (fun t -> Hashtbl.replace mutable_records t ()) uf.F.uf_mutable_records)
+    units;
+  List.concat_map
+    (fun (uf : F.unit_facts) ->
+      List.filter_map
+        (fun (c : F.compare) ->
+          if Hashtbl.mem mutable_records c.F.cmp_type then
+            Some
+              (v ~file:uf.F.uf_source ~line:c.F.cmp_line ~rule:"poly-compare-mutable"
+                 (Printf.sprintf
+                    "%s applies polymorphic %s to mutable record %s; write a typed \
+                     equal/compare"
+                    c.F.cmp_fn c.F.cmp_op c.F.cmp_type))
+          else None)
+        uf.F.uf_compares)
+    units
+
 (* ---------------- driver ---------------- *)
 
-let all_rules =
-  [ "lock-order"; "blocking-in-worker"; "blocking-under-lock";
-    "crew-core-purity"; "shared-mutable-escape"; "top-level-lazy" ]
+let default_is_lib (uf : F.unit_facts) =
+  List.mem "lib" (String.split_on_char '/' uf.F.uf_source)
 
-let run ?(is_crew_core = default_is_crew_core) (units : F.unit_facts list) =
-  let cg = Callgraph.build units in
+let compare_violation a b =
+  compare (a.file, a.line, a.rule, a.message) (b.file, b.line, b.rule, b.message)
+
+let run ?(is_crew_core = default_is_crew_core) ?(is_lib = default_is_lib)
+    (units : F.unit_facts list) =
+  (* The concurrency passes judge library code only: an executable's
+     own threads (a CLI harness sleeping between judged ops) are not
+     the serving path. *)
+  let lib_units = List.filter is_lib units in
+  let cg = Callgraph.build lib_units in
   let lg = Lockgraph.build cg in
   let vs =
     lock_order_pass lg
@@ -279,20 +377,18 @@ let run ?(is_crew_core = default_is_crew_core) (units : F.unit_facts list) =
     @ blocking_under_lock_pass cg
     @ crew_purity_pass ~is_crew_core cg
     @ mutable_escape_pass cg
-    @ toplevel_lazy_pass units
+    @ toplevel_lazy_pass lib_units
+    @ reference_pass ~is_lib units
+    @ poly_compare_pass units
   in
   (* Deduplicate on the stable key, keeping the smallest line; order by
      (file, line, rule, message) for stable output. *)
-  let key (x : Lint.violation) = (x.Lint.rule, x.Lint.file, x.Lint.message) in
+  let key x = (x.rule, x.file, x.message) in
   let best = Hashtbl.create 64 in
   List.iter
-    (fun (x : Lint.violation) ->
+    (fun x ->
       match Hashtbl.find_opt best (key x) with
-      | Some (y : Lint.violation) when y.Lint.line <= x.Lint.line -> ()
+      | Some y when y.line <= x.line -> ()
       | _ -> Hashtbl.replace best (key x) x)
     vs;
-  Hashtbl.fold (fun _ x acc -> x :: acc) best []
-  |> List.sort (fun (a : Lint.violation) (b : Lint.violation) ->
-         compare
-           (a.Lint.file, a.Lint.line, a.Lint.rule, a.Lint.message)
-           (b.Lint.file, b.Lint.line, b.Lint.rule, b.Lint.message))
+  Hashtbl.fold (fun _ x acc -> x :: acc) best [] |> List.sort compare_violation

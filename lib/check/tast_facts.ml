@@ -4,7 +4,10 @@
    value binding into one [func] fact: the identifiers it references
    (the call-graph edges), the [with_lock] acquisition sites with their
    lexical nesting, the [Domain.spawn] / [Thread.create] sites, and the
-   mutable-state writes with the innermost lock held at each.
+   mutable-state writes with the innermost lock held at each. Per unit
+   it also records the record types declared with a [mutable] field and
+   every polymorphic comparison typed at a named type, so the
+   [poly-compare-mutable] rule can match the two across units.
 
    Identity conventions (all heuristic, all deterministic):
    - Function names are [Unit.path], e.g. [C4_runtime.Server.stop];
@@ -58,6 +61,13 @@ type func = {
   spawns : spawn list;
 }
 
+type compare = {
+  cmp_fn : string;  (** enclosing function *)
+  cmp_op : string;  (** [=], [<>] or [compare] *)
+  cmp_type : string;  (** qualified constructor of the compared type *)
+  cmp_line : int;
+}
+
 type unit_facts = {
   uf_unit : string;  (** normalized module name, e.g. [C4_runtime.Server] *)
   uf_source : string;  (** source path as recorded by the compiler *)
@@ -67,6 +77,12 @@ type unit_facts = {
           needed to resolve [M.f] call targets across units *)
   uf_lazies : (string * int) list;
       (** module-level [lazy] bindings, (qualified name, line) *)
+  uf_mutable_records : string list;
+      (** qualified names of the record types declared here with a
+          [mutable] field *)
+  uf_compares : compare list;
+      (** polymorphic [=] / [<>] / [compare] uses whose operand type is
+          a named type constructor *)
 }
 
 (* [C4_runtime__Server] -> [C4_runtime.Server]; a trailing [__] alias
@@ -123,6 +139,12 @@ type state = {
   mutable funcs : func list;
   mutable aliases : (string * string) list;
   mutable lazies : (string * int) list;
+  mutable mutable_records : string list;
+  mutable compares : compare list;
+  local_paths : (string, string) Hashtbl.t;
+      (* [Ident.unique_name] of a type or module declared in this unit
+         -> its qualified name, so a [Pident] type path resolves to the
+         same name other units see *)
   mutable anon : int;  (* synthetic closure counter *)
 }
 
@@ -190,6 +212,42 @@ let record_spawn st ~kind ~line ~target =
 let qualified st name =
   String.concat "." ((st.unit_name :: List.rev st.modpath) @ [ name ])
 
+(* Qualified name of a type path: heads declared in this unit resolve
+   through [local_paths]; other units' paths are normalized. *)
+let rec type_path_name st (p : Path.t) =
+  match p with
+  | Path.Pident id -> (
+    match Hashtbl.find_opt st.local_paths (Ident.unique_name id) with
+    | Some q -> q
+    | None -> normalize_name (Ident.name id))
+  | Path.Pdot (q, s) -> type_path_name st q ^ "." ^ s
+  | _ -> normalize_name (Path.name p)
+
+let poly_compares = [ ("Stdlib.=", "="); ("Stdlib.<>", "<>"); ("Stdlib.compare", "compare") ]
+
+(* A use of a polymorphic comparison, typed at its instance: the
+   operand type is the first parameter of the ident's arrow type, so
+   [a = b], [compare a b] and [List.sort compare xs] all record it. *)
+let record_compare st ~callee ~line (ty : Types.type_expr) =
+  match List.assoc_opt callee poly_compares with
+  | None -> ()
+  | Some op -> (
+    match Types.get_desc ty with
+    | Types.Tarrow (_, arg, _, _) -> (
+      match Types.get_desc arg with
+      | Types.Tconstr (p, _, _) ->
+        st.compares <-
+          {
+            cmp_fn =
+              (match cur_frame st with Some f -> f.f_name | None -> qualified st "<top>");
+            cmp_op = op;
+            cmp_type = type_path_name st p;
+            cmp_line = line;
+          }
+          :: st.compares
+      | _ -> ())
+    | _ -> ())
+
 (* Name of the mutex expression at a [with_lock] site. *)
 let lock_name_of_expr st (e : Typedtree.expression) =
   match e.Typedtree.exp_desc with
@@ -236,6 +294,29 @@ let iterate st (str : Typedtree.structure) =
   in
   let structure_item it (si : Typedtree.structure_item) =
     match si.Typedtree.str_desc with
+    | Typedtree.Tstr_eval (e, _) when st.frames = [] ->
+      (* A module-level [;;] expression: a frame of its own, so its
+         calls are recorded like a binding's. *)
+      let line = line_of si.Typedtree.str_loc in
+      let name = qualified st (Printf.sprintf "<eval:%d>" line) in
+      let _f = push_frame st ~name ~line ~spawn_body:false in
+      it.Tast_iterator.expr it e;
+      pop_frame st
+    | Typedtree.Tstr_type (_, decls) ->
+      List.iter
+        (fun (d : Typedtree.type_declaration) ->
+          let name = qualified st (Ident.name d.Typedtree.typ_id) in
+          Hashtbl.replace st.local_paths (Ident.unique_name d.Typedtree.typ_id) name;
+          match d.Typedtree.typ_kind with
+          | Typedtree.Ttype_record lds
+            when List.exists
+                   (fun (ld : Typedtree.label_declaration) ->
+                     ld.Typedtree.ld_mutable = Asttypes.Mutable)
+                   lds ->
+            st.mutable_records <- name :: st.mutable_records
+          | _ -> ())
+        decls;
+      super.Tast_iterator.structure_item it si
     | Typedtree.Tstr_value (_, vbs) ->
       List.iter
         (fun (vb : Typedtree.value_binding) ->
@@ -266,12 +347,19 @@ let iterate st (str : Typedtree.structure) =
         | Some id -> Ident.name id
         | None -> "_"
       in
+      let local target =
+        Option.iter
+          (fun id -> Hashtbl.replace st.local_paths (Ident.unique_name id) target)
+          mb.Typedtree.mb_id
+      in
       match mb.Typedtree.mb_expr.Typedtree.mod_desc with
       | Typedtree.Tmod_ident (p, _) ->
         (* [module M = Other.Path] — record the renaming so call targets
            through the alias resolve to the real unit. *)
+        local (type_path_name st p);
         st.aliases <- (name, normalize_name (Path.name p)) :: st.aliases
       | _ ->
+        local (qualified st name);
         st.modpath <- name :: st.modpath;
         super.Tast_iterator.structure_item it si;
         st.modpath <- List.tl st.modpath)
@@ -281,7 +369,9 @@ let iterate st (str : Typedtree.structure) =
     let line = line_of e.Typedtree.exp_loc in
     match e.Typedtree.exp_desc with
     | Typedtree.Texp_ident (p, _, _) ->
-      record_call st ~callee:(normalize_name (Path.name p)) ~line
+      let callee = normalize_name (Path.name p) in
+      record_call st ~callee ~line;
+      record_compare st ~callee ~line e.Typedtree.exp_type
     | Typedtree.Texp_setfield (r, _, lbl, v) ->
       record_mutation st ~what:("field " ^ lbl.Types.lbl_name) ~line;
       it.Tast_iterator.expr it r;
@@ -382,6 +472,9 @@ let of_structure ~unit_name ~source str =
       funcs = [];
       aliases = [];
       lazies = [];
+      mutable_records = [];
+      compares = [];
+      local_paths = Hashtbl.create 16;
       anon = 0;
     }
   in
@@ -392,6 +485,8 @@ let of_structure ~unit_name ~source str =
     uf_funcs = List.rev st.funcs;
     uf_aliases = List.rev st.aliases;
     uf_lazies = List.rev st.lazies;
+    uf_mutable_records = List.rev st.mutable_records;
+    uf_compares = List.rev st.compares;
   }
 
 let load path =

@@ -1,10 +1,13 @@
 (** Typed-AST fact extraction over [.cmt] files — the front half of the
-    static concurrency-discipline analyzer ({!Staticcheck}).
+    static analyzer ({!Staticcheck}).
 
     Each compilation unit is flattened into per-function fact records:
     referenced identifiers (call-graph edges), [with_lock] acquisition
     sites with lexical nesting, [Domain.spawn] / [Thread.create] sites,
     and mutable-state writes with the innermost lock held at each.
+    Module-level [;;] expressions get a frame of their own. Per unit it
+    also records the record types declared with a [mutable] field and
+    each polymorphic [=] / [<>] / [compare] typed at a named type.
 
     All names are heuristic but deterministic:
     - functions: [Unit.path] ([C4_runtime.Server.stop]);
@@ -47,6 +50,15 @@ type func = {
   spawns : spawn list;
 }
 
+type compare = {
+  cmp_fn : string;  (** enclosing function *)
+  cmp_op : string;  (** [=], [<>] or [compare] *)
+  cmp_type : string;
+      (** qualified constructor of the compared type, e.g.
+          [C4_kvs.Store.t] *)
+  cmp_line : int;
+}
+
 type unit_facts = {
   uf_unit : string;  (** normalized unit name, e.g. [C4_runtime.Server] *)
   uf_source : string;  (** source path as recorded by the compiler *)
@@ -56,6 +68,12 @@ type unit_facts = {
   uf_lazies : (string * int) list;
       (** module-level [lazy] bindings (submodules included), as
           (qualified name, line) *)
+  uf_mutable_records : string list;
+      (** qualified names of the record types declared here with a
+          [mutable] field *)
+  uf_compares : compare list;
+      (** polymorphic comparisons whose operand type is a named type
+          constructor, typed at their use site *)
 }
 
 (** [C4_runtime__Server] -> [C4_runtime.Server]. *)

@@ -1,15 +1,5 @@
 let mask62 = (1 lsl 62) - 1
 
-let fnv1a s =
-  let offset_basis = 0xCBF29CE484222325L and prime = 0x100000001B3L in
-  let h = ref offset_basis in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h prime)
-    s;
-  Int64.to_int !h land mask62
-
 let mix_int key =
   let z = Int64.of_int key in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in

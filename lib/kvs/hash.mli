@@ -1,9 +1,6 @@
 (** Key hashing for the store's bucket index and the NIC's partition
     mapping (Sec. 5.1: the NIC must apply the same f() as the KVS). *)
 
-(** FNV-1a over the bytes of a string key; 62-bit nonnegative result. *)
-val fnv1a : string -> int
-
 (** Finalised 64-bit mix of an integer key (SplitMix64 finaliser);
     62-bit nonnegative result. *)
 val mix_int : int -> int

@@ -16,21 +16,6 @@ type parsed = { op : op; key : int; partition : int }
 
 let mutates = function `Write | `Delete -> true | `Read -> false
 
-(* Same mix as C4_kvs.Hash.mix_int; duplicated numerically (not as a
-   dependency) because the NIC and KVS are distinct subsystems that
-   must merely agree on f() — which this constant layout guarantees. *)
-let mix_int key =
-  let z = Int64.of_int key in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-  let z = Int64.logxor z (Int64.shift_right_logical z 31) in
-  Int64.to_int z land ((1 lsl 62) - 1)
-
-let partition_of_key t key =
-  let bucket = mix_int key mod t.n_buckets in
-  if t.n_partitions >= t.n_buckets then bucket mod t.n_partitions
-  else bucket * t.n_partitions / t.n_buckets
-
 let read_key_le packet ~offset ~length =
   let v = ref 0L in
   for i = length - 1 downto 0 do
@@ -61,7 +46,10 @@ let parse t packet =
     | (0 | 1 | 2) as c ->
       let op = match c with 0 -> `Read | 1 -> `Write | _ -> `Delete in
       let key = read_key_le packet ~offset:key_offset ~length:key_length in
-      Ok { op; key; partition = partition_of_key t key }
+      let partition =
+        C4_kvs.Hash.partition_of_key ~n_buckets:t.n_buckets ~n_partitions:t.n_partitions key
+      in
+      Ok { op; key; partition }
     | c -> Error (Printf.sprintf "unknown opcode %d" c)
   end
 

@@ -2,7 +2,7 @@
     and releases it on every exit path, including raising ones (via
     [Fun.protect]; an exception from [f] surfaces unchanged). This is
     the only module allowed to call [Mutex.lock] directly — the
-    [bare-mutex-lock] rule in [c4_lint] enforces it repo-wide.
+    analyzer's [bare-mutex-lock] rule enforces it repo-wide.
 
     [Condition.wait c m] remains legal inside the critical section: it
     atomically releases and reacquires [m], so the protect-finally

@@ -17,7 +17,7 @@ val render : t -> string
 
 (** [print t] renders to [oc] (default [stdout]) — the explicit channel
     keeps library code honest about where output goes; the implicit
-    stdout printers are banned in [lib/] by [c4_lint]. *)
+    stdout printers are banned in [lib/] by the analyzer. *)
 val print : ?oc:out_channel -> t -> unit
 
 (** Formatting helpers used throughout bench output. *)

@@ -2,7 +2,7 @@
    lock_a -> lock_b lexically; [ba] takes lock_b then calls [grab_a],
    which acquires lock_a — closing the cycle interprocedurally, so the
    report must carry a witness call chain through [grab_a]. *)
-
+(* c4-lint: allow bare-mutex-lock — [with_lock] is a local clone *)
 type t = { lock_a : Mutex.t; lock_b : Mutex.t }
 
 let with_lock m f =

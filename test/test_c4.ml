@@ -12,7 +12,6 @@ let () =
       ("obs", Test_obs.tests);
       ("workload", Test_workload.tests);
       ("kvs", Test_kvs.tests);
-      ("kvs.log_store", Test_log_store.tests);
       ("cache", Test_cache.tests);
       ("nic", Test_nic.tests);
       ("nic.pipeline", Test_pipeline.tests);

@@ -1,12 +1,12 @@
-(* Concurrency-correctness tooling: the lint rules (each seeded in a
-   scratch source and asserted rejected, plus negatives for the things
-   they must NOT flag), the vector-clock race detector (hand-built
-   traces and real multi-domain instrumented runs), and the DPOR-lite
+(* Concurrency-correctness tooling: the analyzer's repo rules (each
+   seeded in the fix_lint fixture or a hand-built fact base and asserted
+   rejected, plus negatives for the things they must NOT flag), the
+   vector-clock race detector (hand-built traces and real multi-domain
+   instrumented runs), and the DPOR-lite
    explorer (exhaustive on every protocol model, counterexamples from
    every seeded-bug variant, schedules replayable, and the
    compaction-window bridge into the linearizability checker). *)
 
-module Lint = C4_check.Lint
 module Vclock = C4_check.Vclock
 module Event = C4_check.Event
 module Race = C4_check.Race
@@ -16,121 +16,188 @@ module Models = C4_check.Models
 module History = C4_consistency.History
 module Lin = C4_consistency.Linearizability
 
-(* ---------------- lint: stripping ---------------- *)
+(* ---------------- repo rules ---------------- *)
+
+module F = C4_check.Tast_facts
+module Rules = C4_check.Rules
+module Staticcheck = C4_check.Staticcheck
 
 let contains ~needle hay =
   let n = String.length needle in
   let rec go i = i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1)) in
   go 0
 
-let test_strip_basics () =
-  let src = "let x = 1 (* comment (* nested *) still *) + 2\n" in
-  let s = Lint.strip src in
-  Alcotest.(check int) "length preserved" (String.length src) (String.length s);
-  Alcotest.(check bool) "nested comment fully gone" false
-    (contains ~needle:"comment" s || contains ~needle:"still" s);
-  Alcotest.(check bool) "code kept" true (String.sub s 0 9 = "let x = 1")
+let fix_lint =
+  lazy
+    (List.filter
+       (fun uf -> uf.F.uf_unit = "Fix_lint")
+       (Lazy.force Test_static.fixture_units))
 
-let test_strip_strings_and_chars () =
-  let src = {|let s = "Obj.magic inside a string" and c = '"' and t = "a\"b"
-let u = {q|Mutex.lock in quoted string|q} and v = 'x'
-type 'a t = Obj of 'a|} in
-  let s = Lint.strip src in
-  Alcotest.(check bool) "string body gone" false (contains ~needle:"Obj.magic" s);
-  Alcotest.(check bool) "quoted string body gone" false (contains ~needle:"Mutex.lock" s);
-  Alcotest.(check bool) "escaped quote handled" false (contains ~needle:{|a\"b|} s);
-  Alcotest.(check bool) "type variable survives" true (contains ~needle:"'a t" s);
-  Alcotest.(check bool) "code after char literal survives" true (contains ~needle:"Obj of" s);
-  Alcotest.(check int) "newlines preserved"
-    (List.length (String.split_on_char '\n' src))
-    (List.length (String.split_on_char '\n' s))
+(* Lines of [rule]'s findings in the fix_lint fixture, judged as library
+   code unless [lib] is false. Its header comment and the [in_string]
+   binding repeat every flagged name; no finding may land there. *)
+let lint_lines ?(lib = true) ?(src_root = Test_static.fixtures_dir) rule =
+  Staticcheck.run ~is_lib:(fun _ -> lib) ~src_root (Lazy.force fix_lint)
+  |> List.filter (fun (v : Staticcheck.violation) -> v.rule = rule)
+  |> List.map (fun (v : Staticcheck.violation) -> v.line)
 
-let test_strip_string_in_comment () =
-  (* A string inside a comment containing a close-comment marker must
-     not terminate the comment (OCaml lexes strings inside comments). *)
-  let src = {|(* a string: " *) " still comment *) let live = Obj.magic|} in
-  let s = Lint.strip src in
-  Alcotest.(check bool) "comment closed at the right place" true
-    (contains ~needle:"Obj.magic" s);
-  Alcotest.(check bool) "comment body gone" false (contains ~needle:"still comment" s)
+(* Comments and strings: the token lint had to strip them from the
+   source text; the analyzer reads what the compiler lexed, so they
+   never reach a rule. Lines 1-3 and 25 of the fixture are comments,
+   16 and 27 strings (plain, quoted, beside a char literal), and 29 a
+   comment holding a string with a close-comment marker, then code. *)
 
-(* ---------------- lint: rules ---------------- *)
+let hit_lines = [ 9; 10; 11; 12; 13; 14; 15; 21; 24 ]
 
-let rules_of path src =
-  List.map (fun v -> v.Lint.rule) (Lint.lint_source ~path src)
+let all_lint_lines () =
+  Staticcheck.run ~is_lib:(fun _ -> true) ~src_root:Test_static.fixtures_dir
+    (Lazy.force fix_lint)
+  |> List.map (fun (v : Staticcheck.violation) -> v.line)
   |> List.sort_uniq compare
 
-let has_rule rule path src = List.mem rule (rules_of path src)
+(* Whether the fixture records a call to [Sys.opaque_identity] at [line]. *)
+let opaque_call_at line =
+  List.exists
+    (fun uf ->
+      List.exists
+        (fun fn ->
+          List.exists
+            (fun (c : F.call) ->
+              c.c_line = line && contains ~needle:"Sys.opaque_identity" c.callee)
+            fn.F.calls)
+        uf.F.uf_funcs)
+    (Lazy.force fix_lint)
+
+let test_strip_basics () =
+  Alcotest.(check (list int)) "findings only at the seeded hits" hit_lines (all_lint_lines ());
+  Alcotest.(check bool) "code after a nested comment is analyzed" true (opaque_call_at 26)
+
+let test_strip_strings_and_chars () =
+  List.iter
+    (fun line ->
+      Alcotest.(check bool)
+        (Printf.sprintf "nothing flagged on line %d" line)
+        false
+        (List.mem line (all_lint_lines ())))
+    [ 16; 27; 28 ];
+  Alcotest.(check (list int)) "an Obj constructor is not Obj.magic" [ 11 ]
+    (lint_lines "no-obj-magic")
+
+let test_strip_string_in_comment () =
+  Alcotest.(check bool) "nothing flagged inside the comment" false
+    (List.mem 29 (all_lint_lines ()));
+  Alcotest.(check bool) "comment closed at the right place" true (opaque_call_at 29)
+
+(* A hand-built unit: [calls] as (callee, line) from one function. *)
+let unit_calling ?(unit_name = "M") ?(source = "lib/x/m.ml") ?(aliases = []) calls =
+  {
+    F.uf_unit = unit_name;
+    uf_source = source;
+    uf_funcs =
+      [
+        {
+          F.fn_name = unit_name ^ ".f";
+          fn_line = 1;
+          fn_spawn_body = false;
+          calls =
+            List.map (fun (callee, c_line) -> { F.callee; c_line; c_under = None }) calls;
+          acquires = [];
+          mutations = [];
+          spawns = [];
+        };
+      ];
+    uf_aliases = aliases;
+    uf_lazies = [];
+    uf_mutable_records = [];
+    uf_compares = [];
+  }
+
+let rules_of units =
+  List.sort_uniq compare (List.map (fun (v : Rules.violation) -> v.rule) (Rules.run units))
 
 let test_lint_bare_mutex_lock () =
-  Alcotest.(check bool) "Mutex.lock flagged" true
-    (has_rule "bare-mutex-lock" "lib/x/m.ml" "let f m = Mutex.lock m\n");
-  Alcotest.(check bool) "Stdlib-qualified flagged" true
-    (has_rule "bare-mutex-lock" "lib/x/m.ml" "let f m = Stdlib.Mutex.unlock m\n");
-  Alcotest.(check bool) "allowed in runtime/sync.ml" false
-    (has_rule "bare-mutex-lock" "lib/runtime/sync.ml" "let f m = Mutex.lock m\n");
-  Alcotest.(check bool) "with_lock is fine" false
-    (has_rule "bare-mutex-lock" "lib/x/m.ml" "let f m g = Sync.with_lock m g\n");
-  Alcotest.(check bool) "in a string is fine" false
-    (has_rule "bare-mutex-lock" "lib/x/m.ml" {|let s = "Mutex.lock"|})
+  Alcotest.(check (list int)) "Mutex.lock and Stdlib.Mutex.unlock, nowhere else" [ 9; 10 ]
+    (lint_lines "bare-mutex-lock");
+  Alcotest.(check (list string)) "allowed in Runtime.Sync" []
+    (rules_of [ unit_calling ~unit_name:"C4_runtime.Sync" [ ("Stdlib.Mutex.lock", 3) ] ]);
+  Alcotest.(check (list string)) "with_lock is fine" []
+    (rules_of [ unit_calling [ ("C4_runtime.Sync.with_lock", 3) ] ]);
+  Alcotest.(check (list string)) "through a local module alias" [ "bare-mutex-lock" ]
+    (rules_of [ unit_calling ~aliases:[ ("L", "Stdlib.Mutex") ] [ ("L.unlock", 3) ] ])
 
 let test_lint_no_obj_magic () =
-  Alcotest.(check bool) "Obj.magic flagged" true
-    (has_rule "no-obj-magic" "lib/x/m.ml" "let c = Obj.magic x\n");
-  Alcotest.(check bool) "comment mention is fine" false
-    (has_rule "no-obj-magic" "lib/x/m.ml" "(* avoid Obj.magic here *) let c = 1\n")
+  Alcotest.(check (list int)) "Obj.magic flagged, nowhere else" [ 11 ]
+    (lint_lines "no-obj-magic");
+  Alcotest.(check (list string)) "in an executable too" [ "no-obj-magic" ]
+    (rules_of [ unit_calling ~source:"bin/m.ml" [ ("Stdlib.Obj.magic", 3) ] ])
 
 let test_lint_no_stdout_print () =
-  Alcotest.(check bool) "print_endline in lib flagged" true
-    (has_rule "no-stdout-print" "lib/x/m.ml" {|let () = print_endline "hi"|});
-  Alcotest.(check bool) "Printf.printf in lib flagged" true
-    (has_rule "no-stdout-print" "lib/x/m.ml" {|let () = Printf.printf "%d" 1|});
-  Alcotest.(check bool) "bin is exempt" false
-    (has_rule "no-stdout-print" "bin/m.ml" {|let () = print_endline "hi"|});
-  Alcotest.(check bool) "pp_print_string is fine" false
-    (has_rule "no-stdout-print" "lib/x/m.ml" "let pp ppf = Format.pp_print_string ppf s\n");
-  Alcotest.(check bool) "Printf.sprintf is fine" false
-    (has_rule "no-stdout-print" "lib/x/m.ml" {|let s = Printf.sprintf "%d" 1|})
+  Alcotest.(check (list int)) "print_endline and a module-level print_string" [ 12; 24 ]
+    (lint_lines "no-stdout-print");
+  Alcotest.(check (list int)) "outside lib/ is exempt" []
+    (lint_lines ~lib:false "no-stdout-print");
+  Alcotest.(check (list string)) "Printf.printf in lib flagged" [ "no-stdout-print" ]
+    (rules_of [ unit_calling [ ("Stdlib.Printf.printf", 3) ] ]);
+  Alcotest.(check (list string)) "bin is exempt" []
+    (rules_of [ unit_calling ~source:"bin/m.ml" [ ("Stdlib.print_endline", 3) ] ]);
+  Alcotest.(check (list string)) "pp_print_string and sprintf are fine" []
+    (rules_of
+       [ unit_calling [ ("Stdlib.Format.pp_print_string", 3); ("Stdlib.Printf.sprintf", 4) ] ])
 
 let test_lint_poly_compare_mutable () =
-  let bad =
-    "type t = { mutable x : int }\nlet eq (a : t) (b : t) = a = b\n"
+  (* Hits: [a = b], [compare a b], [List.sort compare], [a <> b]. Not:
+     a field compare (17), a record literal (18), a definition head
+     (19), an immutable record (20). *)
+  Alcotest.(check (list int)) "typed at the mutable record only" [ 13; 14; 15; 21 ]
+    (lint_lines "poly-compare-mutable");
+  (* The type is declared in one unit and compared in another. *)
+  let decl = { (unit_calling ~unit_name:"A" []) with F.uf_mutable_records = [ "A.t" ] } in
+  let user =
+    {
+      (unit_calling ~unit_name:"B" ~source:"lib/x/b.ml" []) with
+      F.uf_compares = [ { F.cmp_fn = "B.eq"; cmp_op = "="; cmp_type = "A.t"; cmp_line = 7 } ];
+    }
   in
-  Alcotest.(check bool) "structural = on mutable record flagged" true
-    (has_rule "poly-compare-mutable" "lib/x/m.ml" bad);
-  let bad_cmp =
-    "type t = { mutable x : int }\nlet cmp (a : t) (b : t) = compare a b\n"
+  Alcotest.(check (list string)) "across units" [ "poly-compare-mutable" ]
+    (rules_of [ decl; user ]);
+  Alcotest.(check (list string)) "no declaration loaded, no finding" [] (rules_of [ user ])
+
+(* A copy of the fixture source whose first line opts out of [rules]. *)
+let with_pragma_copy rules f =
+  let root =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "c4pragma-%d" (Unix.getpid ()))
   in
-  Alcotest.(check bool) "bare compare flagged" true
-    (has_rule "poly-compare-mutable" "lib/x/m.ml" bad_cmp);
-  let field_ok =
-    "type t = { mutable x : int }\nlet eq (a : t) n = a.x = n\n"
+  if not (Sys.file_exists root) then Sys.mkdir root 0o755;
+  let src = Filename.concat root "fix_lint.ml" in
+  let body =
+    In_channel.with_open_bin
+      (Filename.concat Test_static.fixtures_dir "fix_lint.ml")
+      In_channel.input_all
   in
-  Alcotest.(check bool) "field comparison is fine" false
-    (has_rule "poly-compare-mutable" "lib/x/m.ml" field_ok);
-  let literal_ok =
-    "type t = { mutable lines : int }\nlet make (n : t) = ignore n; { lines = 3 }\n"
-  in
-  Alcotest.(check bool) "record literal is fine" false
-    (has_rule "poly-compare-mutable" "lib/x/m.ml" literal_ok);
-  let defhead_ok =
-    "type t = { mutable x : int }\nlet set (w : t) = w.x <- 1\nlet go t w = ignore (t, w)\n"
-  in
-  Alcotest.(check bool) "function definition head is fine" false
-    (has_rule "poly-compare-mutable" "lib/x/m.ml" defhead_ok);
-  let immutable_ok = "type t = { x : int }\nlet eq (a : t) (b : t) = a = b\n" in
-  Alcotest.(check bool) "immutable record is fine" false
-    (has_rule "poly-compare-mutable" "lib/x/m.ml" immutable_ok)
+  Out_channel.with_open_bin src (fun oc ->
+      Printf.fprintf oc "(* c4-lint: allow %s *)\n%s" (String.concat " " rules) body);
+  Fun.protect
+    ~finally:(fun () -> Sys.remove src; Sys.rmdir root)
+    (fun () -> f root)
 
 let test_lint_pragma () =
-  let src = "(* c4-lint: allow no-obj-magic *)\nlet c = Obj.magic x\n" in
-  Alcotest.(check bool) "pragma exempts its rule" false
-    (has_rule "no-obj-magic" "lib/x/m.ml" src);
-  Alcotest.(check bool) "other rules still apply" true
-    (has_rule "bare-mutex-lock" "lib/x/m.ml" (src ^ "let f m = Mutex.lock m\n"));
+  let rules =
+    [ "bare-mutex-lock"; "no-obj-magic"; "no-stdout-print"; "poly-compare-mutable" ]
+  in
+  List.iter
+    (fun rule ->
+      with_pragma_copy [ rule ] (fun src_root ->
+          Alcotest.(check (list int)) (rule ^ " opted out") [] (lint_lines ~src_root rule);
+          List.iter
+            (fun other ->
+              if other <> rule then
+                Alcotest.(check bool) (other ^ " still applies") true
+                  (lint_lines ~src_root other <> []))
+            rules))
+    rules;
   Alcotest.(check (list string)) "pragma parsing" [ "no-obj-magic"; "no-stdout-print" ]
-    (List.sort compare
-       (Lint.pragmas "(* c4-lint: allow no-obj-magic no-stdout-print *)"))
+    (Staticcheck.pragmas "(* c4-lint: allow no-obj-magic no-stdout-print — why *)")
 
 let with_temp_tree f =
   let root =
@@ -156,21 +223,35 @@ let write_file path content =
 let test_lint_dirs_and_mli_required () =
   with_temp_tree (fun root ->
       let lib = Filename.concat root "lib" in
+      let objs = Filename.concat lib ".objs" in
       Sys.mkdir lib 0o755;
+      Sys.mkdir objs 0o755;
       write_file (Filename.concat lib "good.ml") "let x = 1\n";
       write_file (Filename.concat lib "good.mli") "val x : int\n";
-      write_file (Filename.concat lib "bad.ml") "let y = Obj.magic 1\n";
-      let report = Lint.lint_dirs [ root ] in
-      Alcotest.(check int) "files scanned" 3 report.Lint.files_scanned;
-      let rules = List.map (fun v -> v.Lint.rule) report.Lint.violations in
-      Alcotest.(check bool) "missing mli caught" true (List.mem "mli-required" rules);
-      Alcotest.(check bool) "obj magic caught" true (List.mem "no-obj-magic" rules);
-      Alcotest.(check int) "exactly two violations" 2 (List.length rules);
+      write_file (Filename.concat lib "bad.ml") "let y = 1\n";
+      write_file (Filename.concat lib "waived.ml") "(* c4-lint: allow mli-required *)\n";
+      write_file (Filename.concat objs "hidden.ml") "let z = 1\n";
+      (* a compiled unit beneath the tree: found by the .cmt walk *)
+      write_file (Filename.concat objs "fix_lint.cmt")
+        (In_channel.with_open_bin (Filename.concat Test_static.fixtures_dir "fix_lint.cmt")
+           In_channel.input_all);
+      let report = Staticcheck.analyze [ root ] in
+      Alcotest.(check int) "units analyzed" 1 report.Staticcheck.units;
+      let mli =
+        List.filter (fun (v : Staticcheck.violation) -> v.rule = "mli-required") report.violations
+      in
+      Alcotest.(check (list string)) "missing mli caught, waived and dot dirs skipped"
+        [ Filename.concat lib "bad.ml" ]
+        (List.map (fun (v : Staticcheck.violation) -> v.file) mli);
+      Alcotest.(check bool) "obj magic caught" true
+        (List.exists
+           (fun (v : Staticcheck.violation) -> v.rule = "no-obj-magic")
+           report.violations);
       (* compact Obs.Json serialisation: no space after the colon *)
-      let json = Lint.to_json report in
+      let json = Staticcheck.to_json report in
       Alcotest.(check bool) "json mentions rule" true
         (contains ~needle:{|"rule":"mli-required"|} json);
-      let text = Lint.to_text report in
+      let text = Staticcheck.to_text report in
       Alcotest.(check bool) "text mentions file:line" true
         (contains ~needle:"bad.ml:1:" text))
 

@@ -1,7 +1,8 @@
 (* Cluster runtime tests: shard-map codec and promotion algebra, the
    replication wire over a socketpair, the routing client's epoch
    convergence against fake nodes (exactly-once tokens, bounded
-   refetches), and the full 3-node kill-the-leader chaos proof. *)
+   refetches), the full 3-node kill-the-leader chaos proof, and a
+   failed cluster spawn that must leave no node running. *)
 
 module Shardmap = C4_clusterd.Shardmap
 module Routing = C4_clusterd.Routing
@@ -389,29 +390,116 @@ let test_routing_refetch_bounded () =
 
 let rm_rf dir = ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)))
 
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let contains ~needle s =
+  let n = String.length needle in
+  let rec go i = i + n <= String.length s && (String.sub s i n = needle || go (i + 1)) in
+  go 0
+
+let c4_sim_exe () =
+  let exe = Filename.concat (Filename.dirname Sys.executable_name) "../bin/c4_sim.exe" in
+  if Sys.file_exists exe then exe else "../bin/c4_sim.exe"
+
 let test_cluster_chaos () =
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "c4-clusterd-test-%d" (Unix.getpid ()))
   in
   rm_rf dir;
-  let exe = Filename.concat (Filename.dirname Sys.executable_name) "../bin/c4_sim.exe" in
-  let exe = if Sys.file_exists exe then exe else "../bin/c4_sim.exe" in
+  let exe = c4_sim_exe () in
+  (* Bounded like the failed-spawn run below: on expiry [timeout] kills
+     the whole process group and the run fails with status 124. *)
   let cmd =
     Printf.sprintf
-      "%s clusterd --chaos --nodes 3 --shards 4 --workers 2 --partitions 8 \
-       --wal-root %s > cluster_chaos.log 2>&1"
+      "timeout -k 5 300 %s clusterd --chaos --nodes 3 --shards 4 --workers 2 \
+       --partitions 8 --wal-root %s > cluster_chaos.log 2>&1"
       (Filename.quote exe) (Filename.quote dir)
   in
   let rc = Sys.command cmd in
-  if rc <> 0 then begin
-    let ic = open_in "cluster_chaos.log" in
-    let n = in_channel_length ic in
-    let out = really_input_string ic n in
-    close_in ic;
-    Alcotest.failf "cluster-chaos exited %d:\n%s" rc out
-  end;
+  if rc <> 0 then
+    Alcotest.failf "cluster-chaos exited %d:\n%s" rc (read_file "cluster_chaos.log");
   rm_rf dir
+
+(* ---------------- failed spawn ---------------- *)
+
+let loopback port = Unix.ADDR_INET (Unix.inet_addr_loopback, port)
+
+(* Whether a connection to [port] completes within a second; the
+   connect is non-blocking so a probe never stalls the test. *)
+let accepts port =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Unix.set_nonblock fd;
+      match Unix.connect fd (loopback port) with
+      | () -> true
+      | exception Unix.Unix_error (Unix.EINPROGRESS, _, _) -> (
+        match Unix.select [] [ fd ] [] 1.0 with
+        | _, [], _ -> false
+        | _ -> Unix.getsockopt_error fd = None)
+      | exception Unix.Unix_error _ -> false)
+
+let port_free port =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      match Unix.bind fd (loopback port) with
+      | () -> true
+      | exception Unix.Unix_error _ -> false)
+
+(* A listener on a free port P whose six ports below are free too: with
+   [--base-port P-6] node i listens on P-6+3i, so node 2's port is
+   taken while nodes 0 and 1 bind. *)
+let rec squat_node2 tries =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind fd (loopback 0);
+  Unix.listen fd 1;
+  let p = match Unix.getsockname fd with Unix.ADDR_INET (_, p) -> p | _ -> assert false in
+  if p > 1030 && List.for_all port_free (List.init 6 (fun k -> p - 6 + k)) then (fd, p - 6)
+  else begin
+    Unix.close fd;
+    if tries = 0 then Alcotest.fail "no free port range" else squat_node2 (tries - 1)
+  end
+
+let test_failed_spawn_leaves_no_nodes () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "c4-clusterd-spawn-%d" (Unix.getpid ()))
+  in
+  rm_rf dir;
+  let fd, base = squat_node2 20 in
+  (* [timeout] bounds the run and, on expiry, kills clusterd's whole
+     process group, nodes included. *)
+  let rc =
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () ->
+        Sys.command
+          (Printf.sprintf
+             "timeout -k 5 120 %s clusterd --nodes 3 --shards 4 --workers 1 \
+              --partitions 4 --base-port %d --duration 0.1 --wal-root %s \
+              > cluster_spawn.log 2>&1"
+             (Filename.quote (c4_sim_exe ())) base (Filename.quote dir)))
+  in
+  rm_rf dir;
+  let log = read_file "cluster_spawn.log" in
+  if rc = 0 || rc = 124 || rc = 137 || not (contains ~needle:"spawn: node 2" log) then
+    Alcotest.failf "clusterd exited %d, expected a failed spawn of node 2:\n%s" rc log;
+  List.iter
+    (fun node ->
+      List.iter
+        (fun slot ->
+          let port = base + (3 * node) + slot in
+          if accepts port then Alcotest.failf "node %d still accepts on port %d" node port)
+        [ 0; 1; 2 ])
+    [ 0; 1 ]
 
 let tests =
   [
@@ -426,4 +514,6 @@ let tests =
     Alcotest.test_case "routing refetches map after node failure" `Quick test_routing_refetch_after_failure;
     Alcotest.test_case "routing refetches are bounded" `Quick test_routing_refetch_bounded;
     Alcotest.test_case "3-node kill-the-leader chaos passes" `Slow test_cluster_chaos;
+    Alcotest.test_case "failed spawn leaves no node running" `Quick
+      test_failed_spawn_leaves_no_nodes;
   ]

@@ -10,13 +10,6 @@ module Log = C4_kvs.Compaction_log
 
 (* ---------------- Hash ---------------- *)
 
-let test_fnv1a_stable () =
-  (* Known values pin the implementation against accidental change. *)
-  Alcotest.(check bool) "nonneg" true (Hash.fnv1a "hello" >= 0);
-  Alcotest.(check int) "deterministic" (Hash.fnv1a "hello") (Hash.fnv1a "hello");
-  Alcotest.(check bool) "distinct inputs differ" true
-    (Hash.fnv1a "hello" <> Hash.fnv1a "hellp")
-
 let test_mix_int_nonnegative () =
   List.iter
     (fun k ->
@@ -425,7 +418,6 @@ let prop_log_preserves_order =
 
 let tests =
   [
-    Alcotest.test_case "fnv1a stability" `Quick test_fnv1a_stable;
     Alcotest.test_case "mix_int nonnegative" `Quick test_mix_int_nonnegative;
     Alcotest.test_case "bucket/partition ranges" `Quick test_bucket_partition_ranges;
     Alcotest.test_case "partition grouping is contiguous" `Quick test_partition_of_bucket_contiguous;

@@ -1,6 +1,7 @@
 (* Typed-AST analyzer tests: every seeded-violation fixture (compiled
    to a real .cmt by test/fixtures/dune) must be flagged with the right
-   rule, file and line; the lock graph's cycle detector is exercised on
+   rule, file and line (the repo-rule fixture, fix_lint, is judged in
+   test_check); the lock graph's cycle detector is exercised on
    hand-built fact bases; and the shared JSON parser that loads the
    findings baseline round-trips what the serialiser emits. The
    repo-clean-modulo-baseline regression itself runs as `dune build
@@ -11,7 +12,6 @@ module Callgraph = C4_check.Callgraph
 module Lockgraph = C4_check.Lockgraph
 module Rules = C4_check.Rules
 module Staticcheck = C4_check.Staticcheck
-module Lint = C4_check.Lint
 module Json = C4_obs.Json
 
 let contains ~needle hay =
@@ -21,26 +21,34 @@ let contains ~needle hay =
 
 (* ---------------- fixtures ---------------- *)
 
-let fixture_cmts =
-  [
-    "fixtures/fix_lock_cycle.cmt";
-    "fixtures/fix_worker_block.cmt";
-    "fixtures/fix_escape.cmt";
-    "fixtures/fix_crew_impure.cmt";
-    "fixtures/fix_lazy.cmt";
-  ]
+(* Fixtures sit beside the test binary, so the suite runs from any
+   working directory. *)
+let fixtures_dir = Filename.concat (Filename.dirname Sys.executable_name) "fixtures"
 
+let fixture_names =
+  [ "fix_lock_cycle"; "fix_worker_block"; "fix_escape"; "fix_crew_impure"; "fix_lazy";
+    "fix_lint" ]
+
+let fixture_units =
+  lazy
+    (let units =
+       Staticcheck.load_units
+         (List.map (fun n -> Filename.concat fixtures_dir (n ^ ".cmt")) fixture_names)
+     in
+     assert (List.length units = List.length fixture_names);
+     units)
+
+(* Every rule over the fixtures, judged as library code, with their
+   pragmas applied. *)
 let fixture_violations =
   lazy
-    (let units = Staticcheck.load_units fixture_cmts in
-     assert (List.length units = 5);
-     Rules.run
+    (Staticcheck.run
        ~is_crew_core:(fun uf -> uf.F.uf_unit = "Fix_crew_impure")
-       units)
+       ~is_lib:(fun _ -> true) ~src_root:fixtures_dir (Lazy.force fixture_units))
 
 let find_all ~rule ~file vs =
   List.filter
-    (fun (v : Lint.violation) -> v.Lint.rule = rule && v.Lint.file = file)
+    (fun (v : Staticcheck.violation) -> v.rule = rule && v.file = file)
     vs
 
 let test_fixture_lock_cycle () =
@@ -51,19 +59,19 @@ let test_fixture_lock_cycle () =
   Alcotest.(check int) "one cycle" 1 (List.length vs);
   let v = List.hd vs in
   Alcotest.(check int) "line of first edge (ab's nested with_lock)" 20
-    v.Lint.line;
+    v.Staticcheck.line;
   Alcotest.(check bool) "names both locks" true
-    (contains ~needle:"Fix_lock_cycle.lock_a" v.Lint.message
-    && contains ~needle:"Fix_lock_cycle.lock_b" v.Lint.message);
+    (contains ~needle:"Fix_lock_cycle.lock_a" v.Staticcheck.message
+    && contains ~needle:"Fix_lock_cycle.lock_b" v.Staticcheck.message);
   Alcotest.(check bool) "ring closes back on lock_a" true
     (contains
        ~needle:
          "Fix_lock_cycle.lock_a -> Fix_lock_cycle.lock_b -> Fix_lock_cycle.lock_a"
-       v.Lint.message);
+       v.Staticcheck.message);
   (* The lock_b -> lock_a edge is interprocedural: the witness
      acquisition path must go through grab_a. *)
   Alcotest.(check bool) "witness call chain through grab_a" true
-    (contains ~needle:"via Fix_lock_cycle.grab_a" v.Lint.message)
+    (contains ~needle:"via Fix_lock_cycle.grab_a" v.Staticcheck.message)
 
 let test_fixture_blocking_worker () =
   let vs =
@@ -72,10 +80,10 @@ let test_fixture_blocking_worker () =
   in
   Alcotest.(check int) "one finding" 1 (List.length vs);
   let v = List.hd vs in
-  Alcotest.(check int) "line of the Unix.sleepf call" 6 v.Lint.line;
+  Alcotest.(check int) "line of the Unix.sleepf call" 6 v.Staticcheck.line;
   Alcotest.(check bool) "names primitive and entry" true
-    (contains ~needle:"Unix.sleepf" v.Lint.message
-    && contains ~needle:"Fix_worker_block.worker_loop" v.Lint.message)
+    (contains ~needle:"Unix.sleepf" v.Staticcheck.message
+    && contains ~needle:"Fix_worker_block.worker_loop" v.Staticcheck.message)
 
 let test_fixture_crew_purity () =
   let vs =
@@ -84,9 +92,9 @@ let test_fixture_crew_purity () =
   in
   Alcotest.(check int) "one finding" 1 (List.length vs);
   let v = List.hd vs in
-  Alcotest.(check int) "line of the Unix.gettimeofday call" 4 v.Lint.line;
+  Alcotest.(check int) "line of the Unix.gettimeofday call" 4 v.Staticcheck.line;
   Alcotest.(check bool) "names the impure callee" true
-    (contains ~needle:"Unix.gettimeofday" v.Lint.message)
+    (contains ~needle:"Unix.gettimeofday" v.Staticcheck.message)
 
 let test_fixture_mutable_escape () =
   let vs =
@@ -94,11 +102,11 @@ let test_fixture_mutable_escape () =
       (Lazy.force fixture_violations)
   in
   Alcotest.(check int) "field write and captured ref" 2 (List.length vs);
-  let lines = List.sort compare (List.map (fun v -> v.Lint.line) vs) in
+  let lines = List.sort compare (List.map (fun v -> v.Staticcheck.line) vs) in
   Alcotest.(check (list int)) "lines of the two writes" [ 9; 10 ] lines;
   Alcotest.(check bool) "field and ref both named" true
-    (List.exists (fun v -> contains ~needle:"field count" v.Lint.message) vs
-    && List.exists (fun v -> contains ~needle:"ref total" v.Lint.message) vs)
+    (List.exists (fun v -> contains ~needle:"field count" v.Staticcheck.message) vs
+    && List.exists (fun v -> contains ~needle:"ref total" v.Staticcheck.message) vs)
 
 let test_fixture_toplevel_lazy () =
   let vs =
@@ -107,9 +115,9 @@ let test_fixture_toplevel_lazy () =
   (* The module-level and submodule-level lazies; not the one a
      function builds per call. *)
   Alcotest.(check (list int)) "lines of the two top-level lazies" [ 4; 9 ]
-    (List.sort compare (List.map (fun v -> v.Lint.line) vs));
+    (List.sort compare (List.map (fun v -> v.Staticcheck.line) vs));
   Alcotest.(check bool) "names the binding" true
-    (List.exists (fun v -> contains ~needle:"Fix_lazy.M.nested" v.Lint.message) vs)
+    (List.exists (fun v -> contains ~needle:"Fix_lazy.M.nested" v.Staticcheck.message) vs)
 
 let test_fixture_no_cross_talk () =
   (* The pure-by-construction fixtures must not trip the purity rule,
@@ -118,14 +126,15 @@ let test_fixture_no_cross_talk () =
   Alcotest.(check int) "purity findings only in the crew fixture" 0
     (List.length
        (List.filter
-          (fun (v : Lint.violation) ->
-            v.Lint.rule = "crew-core-purity" && v.Lint.file <> "fix_crew_impure.ml")
+          (fun (v : Staticcheck.violation) ->
+            v.Staticcheck.rule = "crew-core-purity"
+            && v.Staticcheck.file <> "fix_crew_impure.ml")
           vs));
   Alcotest.(check int) "no blocking findings in the lock-cycle fixture" 0
     (List.length
        (List.filter
-          (fun (v : Lint.violation) ->
-            v.Lint.file = "fix_lock_cycle.ml" && v.Lint.rule <> "lock-order")
+          (fun (v : Staticcheck.violation) ->
+            v.Staticcheck.file = "fix_lock_cycle.ml" && v.Staticcheck.rule <> "lock-order")
           vs))
 
 (* ---------------- lockgraph on hand-built facts ---------------- *)
@@ -142,7 +151,15 @@ let mk_func ~name ?(line = 1) ?(calls = []) ?(acquires = []) () =
   }
 
 let mk_unit funcs =
-  { F.uf_unit = "T"; uf_source = "t.ml"; uf_funcs = funcs; uf_aliases = []; uf_lazies = [] }
+  {
+    F.uf_unit = "T";
+    uf_source = "t.ml";
+    uf_funcs = funcs;
+    uf_aliases = [];
+    uf_lazies = [];
+    uf_mutable_records = [];
+    uf_compares = [];
+  }
 
 let graph_of funcs = Lockgraph.build (Callgraph.build [ mk_unit funcs ])
 
@@ -285,16 +302,13 @@ let test_baseline_load () =
         (Staticcheck.load_baseline (path ^ ".does-not-exist")))
 
 let test_lint_json_shape () =
-  (* c4_lint --json now serialises through Obs.Json: a message with a
-     quote and a newline must come back intact through the parser. *)
+  (* The report serialises through Obs.Json: a message with a quote and
+     a newline must come back intact through the parser. *)
+  let v = { Staticcheck.file = "a.ml"; line = 3; rule = "r"; message = "say \"hi\"\n" } in
   let report =
-    {
-      Lint.violations =
-        [ { Lint.file = "a.ml"; line = 3; rule = "r"; message = "say \"hi\"\n" } ];
-      files_scanned = 1;
-    }
+    { Staticcheck.violations = [ v ]; fresh = [ v ]; baselined = []; stale = []; units = 1 }
   in
-  let j = Json.of_string (Lint.to_json report) in
+  let j = Json.of_string (Staticcheck.to_json report) in
   (match Option.bind (Json.member "violations" j) Json.to_list_opt with
   | Some [ item ] ->
     Alcotest.(check (option string)) "message round-trips"
@@ -303,8 +317,8 @@ let test_lint_json_shape () =
     Alcotest.(check (option int)) "line" (Some 3)
       (Option.bind (Json.member "line" item) Json.to_int_opt)
   | _ -> Alcotest.fail "expected one violation");
-  Alcotest.(check (option int)) "files_scanned" (Some 1)
-    (Option.bind (Json.member "files_scanned" j) Json.to_int_opt)
+  Alcotest.(check (option int)) "units" (Some 1)
+    (Option.bind (Json.member "units" j) Json.to_int_opt)
 
 let tests =
   [
